@@ -31,7 +31,7 @@ from .families import (
     mask_of,
     sort_key,
 )
-from .search import Constraint, SearchBudget, max_intersecting
+from .search import Constraint, SearchBudget, max_intersecting, meet_rows
 
 
 class ConstructionKind(Enum):
@@ -244,25 +244,24 @@ def max_cross_intersecting(n: int, k: int, budget: SearchBudget | None = None) -
     For a fixed F the best partner is forced: G(F) = every k-set meeting all
     of F.  The search branches on F membership only, keeps the forced G as a
     bitset, and prunes with the optimistic total |F| + |undecided| + |G(F)|
-    plus a transposition table on (depth, G) states.
+    plus a transposition table on (depth, G) states.  The time limit counts
+    from the call's start, set-up included.
     """
     if k < 1 or 2 * k > n:
         raise ValueError(f"needs 1 <= k and 2k <= n, got n={n}, k={k}")
+    start = time.perf_counter()
     budget = budget or SearchBudget()
+    deadline = None
+    if budget.time_limit_s is not None:
+        deadline = start + budget.time_limit_s
+    u = Universe(n, 0)
     cands = [mask_of(c) for c in combinations(range(n), k)]
     m = len(cands)
-    meets = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if cands[i] & cands[j]:
-                meets[i] |= 1 << j
+    meets = meet_rows(u, cands)
     full = (1 << m) - 1
 
     # seed with singleton F = {first k-set}: its forced partner is everything meeting it
     state = {"best": 1 + meets[0].bit_count(), "pair": (1, meets[0]), "nodes": 0}
-    deadline = None
-    if budget.time_limit_s is not None:
-        deadline = time.perf_counter() + budget.time_limit_s
     memo: dict[tuple[int, int], int] = {}
 
     def rec(i: int, fmask: int, fcount: int, g: int) -> None:
@@ -297,11 +296,12 @@ def max_cross_intersecting(n: int, k: int, budget: SearchBudget | None = None) -
 
     proven = True
     try:
+        if deadline is not None and time.perf_counter() > deadline:
+            raise _CrossBudget  # set-up alone used up the time limit
         rec(0, 0, 0, full)
     except _CrossBudget:
         proven = False
     fmask, gmask = state["pair"]
-    u = Universe(n, 0)
     fam_a = Family(u, tuple(cands[i] for i in iter_bits(fmask)))
     fam_b = Family(u, tuple(cands[i] for i in iter_bits(gmask)))
     return CrossResult(state["best"], fam_a, fam_b, proven, state["nodes"])

@@ -188,9 +188,6 @@ class BlockingPair:
 class BlockingPairScan:
     pairs: tuple[BlockingPair, ...]
 
-    def of_kind(self, kind: str) -> tuple[BlockingPair, ...]:
-        return tuple(p for p in self.pairs if p.kind == kind)
-
     def distinct_bases(self, kind: str) -> tuple[Interval, ...]:
         return tuple(sorted({p.base for p in self.pairs if p.kind == kind}))
 

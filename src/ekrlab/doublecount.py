@@ -131,16 +131,6 @@ def double_count_check(f: Family) -> DoubleCountResult:
     return DoubleCountResult(len(f), by_member, by_pair, tuple(per_pair))
 
 
-def family_rectangles(f: Family, c1, c2) -> RectFamily:
-    """Rectangles formed by the family members under one permutation pair."""
-    rects = []
-    for m in f.sets:
-        r = set_to_rectangle(f.universe, m, c1, c2)
-        if r is not None:
-            rects.append(r)
-    return RectFamily(f.universe.n1, f.universe.n2, tuple(sorted(set(rects))))
-
-
 @dataclass(frozen=True)
 class WeightedSumCheck:
     hypothesis_ok: bool

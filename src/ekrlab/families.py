@@ -80,11 +80,6 @@ class Universe:
             return range(self.n1, self.size)
         raise ValueError(f"unknown side {side!r}")
 
-    def side_of(self, element: int) -> str:
-        if not 0 <= element < self.size:
-            raise ValueError(f"element {element} outside universe")
-        return X1 if element < self.n1 else X2
-
 
 class Profile(NamedTuple):
     """Prescribed member sizes (k in X1, l in X2)."""

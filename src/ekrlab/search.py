@@ -7,6 +7,15 @@ greedy sequential coloring bound and degeneracy-order root branching;
 structural constraints (non-trivial, two-sided) are enforced with
 admissible prunes plus predicate checks on every recorded clique.
 
+Every layer works on bitsets.  Rows are built from element incidence: S_e
+is the bitset of candidates containing element e, and row(v) is the OR of
+S_e over e in v.  The degeneracy order comes from a bucket queue whose
+buckets are bitsets (Matula & Beck).  The coloring skips vertices whose
+color is too low to branch on (the color cut of San Segundo et al.'s
+BBMC).  The constraint prunes test precomputed rows: ``avoid[e]`` (the
+candidates missing e) and, for two-sided search, ``miss1[v]`` /
+``miss2[v]`` (the neighbours whose intersection with v misses X1 / X2).
+
 A plain subset-enumeration oracle, which never looks at the graph, backs
 the solver for small instances.
 """
@@ -92,6 +101,31 @@ class CompatibilityGraph:
         return sum(row.bit_count() for row in self.adjacency) // 2
 
 
+def element_incidence(u: Universe, masks) -> list[int]:
+    """S_e for every element e: the bitset of candidate indices whose set contains e."""
+    inc = [0] * u.size
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        for e in iter_bits(mask):
+            inc[e] |= bit
+    return inc
+
+
+def meet_rows(u: Universe, masks) -> list[int]:
+    """For each set, the bitset of the sets it meets (itself included when non-empty).
+
+    The row of a set is the OR of S_e over its elements e.
+    """
+    inc = element_incidence(u, masks)
+    rows = []
+    for mask in masks:
+        row = 0
+        for e in iter_bits(mask):
+            row |= inc[e]
+        rows.append(row)
+    return rows
+
+
 def build_graph(u: Universe, profiles, vertex_cap: int = VERTEX_CAP) -> CompatibilityGraph:
     """Compatibility graph over every profile-respecting set, in canonical vertex order."""
     ps = normalize_profiles(u, profiles)
@@ -99,29 +133,50 @@ def build_graph(u: Universe, profiles, vertex_cap: int = VERTEX_CAP) -> Compatib
     m = len(masks)
     if m > vertex_cap:
         raise ValueError(f"{m} candidate sets exceed the vertex cap of {vertex_cap}")
-    adj = [0] * m
-    for i in range(m):
-        mi = masks[i]
-        for j in range(i + 1, m):
-            if mi & masks[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return CompatibilityGraph(u, ps, tuple(masks), tuple(adj))
+    adj = tuple(row & ~(1 << v) for v, row in enumerate(meet_rows(u, masks)))
+    return CompatibilityGraph(u, ps, tuple(masks), adj)
 
 
 def _degeneracy_order(adj: tuple[int, ...]) -> list[int]:
-    """Repeatedly remove a minimum-degree vertex; ties go to the smaller index."""
-    m = len(adj)
-    alive = (1 << m) - 1
-    deg = [row.bit_count() for row in adj]
+    """Repeatedly remove a minimum-degree vertex; ties go to the smaller index.
+
+    Bucket queue (Matula & Beck) whose buckets are bitsets: bucket d holds
+    the live vertices of degree d, so the lowest set bit of the lowest
+    bucket is the next vertex.  A removal moves the neighbours of each
+    bucket down one degree with a single AND.
+    """
+    buckets: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        buckets[d] = buckets.get(d, 0) | 1 << v
+    alive = (1 << len(adj)) - 1
     order = []
-    for _ in range(m):
-        v = min((i for i in iter_bits(alive)), key=lambda i: (deg[i], i))
+    while alive:
+        d = min(buckets)
+        low = buckets[d] & -buckets[d]
+        v = low.bit_length() - 1
         order.append(v)
-        alive &= ~(1 << v)
-        for w in iter_bits(adj[v] & alive):
-            deg[w] -= 1
+        alive ^= low
+        _bucket_remove(buckets, d, low)
+        nbrs = adj[v] & alive
+        for d in sorted(buckets):  # ascending, so a moved vertex moves once
+            moved = buckets[d] & nbrs
+            if moved:
+                _bucket_remove(buckets, d, moved)
+                buckets[d - 1] = buckets.get(d - 1, 0) | moved
+                nbrs ^= moved
+                if not nbrs:
+                    break
     return order
+
+
+def _bucket_remove(buckets: dict[int, int], d: int, bits: int) -> None:
+    """Take ``bits`` out of bucket d, dropping the bucket when it empties."""
+    rest = buckets[d] ^ bits
+    if rest:
+        buckets[d] = rest
+    else:
+        del buckets[d]
 
 
 def _swap_bits(mask: int, a: int, b: int) -> int:
@@ -159,7 +214,7 @@ class _BudgetExhausted(Exception):
 
 class _CliqueSearch:
     def __init__(self, graph: CompatibilityGraph, constraint: Constraint,
-                 budget: SearchBudget | None, symmetry: bool):
+                 budget: SearchBudget | None, symmetry: bool, start: float):
         self.graph = graph
         self.constraint = constraint
         self.budget = budget or SearchBudget()
@@ -168,11 +223,26 @@ class _CliqueSearch:
         self.masks = graph.vertices
         u = graph.universe
         self.x1m, self.x2m = u.x1_mask, u.x2_mask
-        self.full = u.full_mask
         self.nodes = 0
         self.deadline = None
+        if self.budget.time_limit_s is not None:
+            self.deadline = start + self.budget.time_limit_s
         self.best = 0
         self.best_witness: tuple[int, ...] = ()
+        everyone = (1 << graph.size) - 1
+        # avoid[e]: vertices missing element e; nonadj[v]: non-neighbours of v, v excluded
+        self.avoid = [everyone ^ s for s in element_incidence(u, self.masks)]
+        self.nonadj = [everyone ^ row ^ (1 << v) for v, row in enumerate(self.adj)]
+        if constraint is Constraint.TWO_SIDED:
+            # miss1[v] / miss2[v]: neighbours whose intersection with v misses X1 / X2
+            self.miss1 = [self._missing(v, self.x1m) for v in range(graph.size)]
+            self.miss2 = [self._missing(v, self.x2m) for v in range(graph.size)]
+
+    def _missing(self, v: int, side: int) -> int:
+        row = self.adj[v]
+        for e in iter_bits(self.masks[v] & side):
+            row &= self.avoid[e]
+        return row
 
     def offer(self, size: int, witness: tuple[int, ...]) -> None:
         """Record a valid clique; ties keep the lexicographically smaller witness."""
@@ -187,62 +257,71 @@ class _CliqueSearch:
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise _BudgetExhausted
 
-    def _color_order(self, p: int) -> list[tuple[int, int]]:
-        """Greedy sequential coloring of the candidate set, ascending color."""
+    def _color_order(self, p: int, kmin: int) -> list[tuple[int, int]]:
+        """Greedy sequential coloring of the candidate set, ascending color.
+
+        Vertices colored below kmin are left out: the branch loop stops
+        before it reaches them.
+        """
+        nonadj = self.nonadj
         order = []
-        color = 0
+        color = 1
         while p:
-            color += 1
             avail = p
             while avail:
-                v = (avail & -avail).bit_length() - 1
-                bit = 1 << v
-                order.append((v, color))
-                p ^= bit
-                avail &= ~self.adj[v] & ~bit
+                low = avail & -avail
+                v = low.bit_length() - 1
+                if color >= kmin:
+                    order.append((v, color))
+                p ^= low
+                avail &= nonadj[v]
+            color += 1
         return order
 
-    def _expand(self, r: list[int], and_all: int, miss1: bool, miss2: bool, p: int) -> None:
+    def _expand(self, rbits: int, rsize: int, and_all: int, miss1: bool, miss2: bool,
+                p: int) -> None:
+        """Branch on the candidates p of the clique R (bitset rbits, rsize members).
+
+        and_all is the intersection of R's sets; miss1 / miss2 record that
+        some pair of R already misses X1 / X2.
+        """
         self._tick()
         if not p:
             return
         constraint = self.constraint
         if constraint is not Constraint.ANY:
-            and_p = self.full
-            for w in iter_bits(p):
-                and_p &= self.masks[w]
-            joint = and_all & and_p
-            if constraint is Constraint.NONTRIVIAL:
-                if joint:
+            # an element e of and_all that every candidate contains (p misses
+            # avoid[e]) stays in every extension's intersection: prune, unless
+            # a pair already misses e's side
+            live = and_all
+            if miss1:
+                live &= self.x2m
+            if miss2:
+                live &= self.x1m
+            avoid = self.avoid
+            while live:
+                low = live & -live
+                if not p & avoid[low.bit_length() - 1]:
                     return
-            else:
-                if (not miss1 and joint & self.x1m) or (not miss2 and joint & self.x2m):
-                    return
-        order = self._color_order(p)
-        rsize = len(r)
-        for v, color in reversed(order):
+                live ^= low
+        two_sided = constraint is Constraint.TWO_SIDED
+        adj, masks = self.adj, self.masks
+        csize = rsize + 1
+        for v, color in reversed(self._color_order(p, self.best - rsize + 1)):
             if rsize + color <= self.best:
                 return
             bit = 1 << v
-            vmask = self.masks[v]
-            child_and = and_all & vmask
-            if constraint is Constraint.TWO_SIDED:
-                cm1, cm2 = miss1, miss2
-                if not (cm1 and cm2):
-                    for w in r:
-                        inter = vmask & self.masks[w]
-                        cm1 = cm1 or not inter & self.x1m
-                        cm2 = cm2 or not inter & self.x2m
-                        if cm1 and cm2:
-                            break
+            child_and = and_all & masks[v]
+            if two_sided:
+                cm1 = miss1 or bool(self.miss1[v] & rbits)
+                cm2 = miss2 or bool(self.miss2[v] & rbits)
             else:
                 cm1 = cm2 = False
-            r.append(v)
-            if self._valid(child_and, cm1, cm2):
-                self.offer(rsize + 1, tuple(sorted(r)))
-            self._expand(r, child_and, cm1, cm2, p & self.adj[v])
-            r.pop()
-            p &= ~bit
+            child = rbits | bit
+            if csize >= self.best and self._valid(child_and, cm1, cm2):
+                self.offer(csize, tuple(iter_bits(child)))
+            self._expand(child, csize, child_and, cm1, cm2, p & adj[v])
+            p ^= bit
 
     def _valid(self, and_all: int, miss1: bool, miss2: bool) -> bool:
         if self.constraint is Constraint.ANY:
@@ -252,9 +331,6 @@ class _CliqueSearch:
         return miss1 and miss2
 
     def run(self) -> tuple[bool, int]:
-        start = time.perf_counter()
-        if self.budget.time_limit_s is not None:
-            self.deadline = start + self.budget.time_limit_s
         order = _degeneracy_order(self.adj)
         eligible = None
         if self.symmetry:
@@ -268,15 +344,18 @@ class _CliqueSearch:
         suffix = (1 << self.graph.size) - 1
         completed = True
         try:
+            if self.deadline is not None and time.perf_counter() > self.deadline:
+                raise _BudgetExhausted  # set-up alone used up the time limit
             for v in order:
-                suffix &= ~(1 << v)
+                bit = 1 << v
+                suffix ^= bit
                 if eligible is not None and v not in eligible:
                     continue
                 self._tick()
                 vmask = self.masks[v]
                 if self._valid(vmask, False, False):
                     self.offer(1, (v,))
-                self._expand([v], vmask, False, False, self.adj[v] & suffix)
+                self._expand(bit, 1, vmask, False, False, self.adj[v] & suffix)
         except _BudgetExhausted:
             completed = False
         return completed, self.nodes
@@ -284,13 +363,8 @@ class _CliqueSearch:
 
 def _star_seed(graph: CompatibilityGraph) -> tuple[int, ...]:
     """Vertex indices of the largest single-element star among the candidates."""
-    best: tuple[int, ...] = ()
-    for x in range(graph.universe.size):
-        bit = 1 << x
-        idx = tuple(i for i, m in enumerate(graph.vertices) if m & bit)
-        if len(idx) > len(best):
-            best = idx
-    return best
+    inc = element_incidence(graph.universe, graph.vertices)
+    return tuple(iter_bits(max(inc, key=int.bit_count)))
 
 
 def _seed_indices(graph: CompatibilityGraph, seed: Family, constraint: Constraint) -> tuple[int, ...]:
@@ -324,7 +398,8 @@ def max_intersecting(u: Universe, profiles, constraint: Constraint = Constraint.
 
     Deterministic for fixed inputs: ties between maximum witnesses keep the
     lexicographically smallest vertex set found.  Exhausting the budget
-    returns the incumbent with proven_optimal False, never an error.  When
+    returns the incumbent with proven_optimal False, never an error; the
+    time limit counts from the call's start, graph set-up included.  When
     no family satisfies the constraint the result has max_size 0 and an
     empty witness.
     """
@@ -333,7 +408,7 @@ def max_intersecting(u: Universe, profiles, constraint: Constraint = Constraint.
         graph = build_graph(u, profiles, vertex_cap)
     if constraint is Constraint.TWO_SIDED and not u.two_part:
         raise ValueError("two-sided constraint needs a two-part universe")
-    search = _CliqueSearch(graph, constraint, budget, symmetry)
+    search = _CliqueSearch(graph, constraint, budget, symmetry, start)
     if seed is not None:
         idx = _seed_indices(graph, seed, constraint)
         search.offer(len(idx), idx)
