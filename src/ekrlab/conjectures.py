@@ -9,7 +9,8 @@ parameter grid and persists one JSON line per cell so interrupted sweeps
 resume.  The ceilings are not maxima: the two-part Hilton-Milner family
 H(x, T) (every (k, l)-set through x meeting a fixed (k, l)-set T with x
 not in T, plus T) exceeds both at k = l = 2, n1 = n2 >= 5, and the hunt reports such cells
-as ``counterexample``.
+as ``counterexample``.  The cross-intersecting maximum is solved exactly by
+König's theorem on the bipartite disjointness graph of the k-sets.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .bounds import binomial, hm_bound, nontrivial_bound, two_sided_bound
 from .families import (
@@ -239,17 +240,100 @@ class _CrossBudget(Exception):
     pass
 
 
-_MEMO_CAP = 600_000
+def _max_matching(adj: list[int], left: int, right: int) -> tuple[int, list[int]]:
+    """Maximum matching between the bitsets ``left`` and ``right`` (Kuhn's method).
+
+    Left vertex f is joined to the right vertices ``adj[f] & right``; both
+    sides index the same list.  Each left vertex in turn starts a breadth-first
+    search for an augmenting path.  Right vertices reached by a failed search
+    stay closed until the matching next changes, since no augmenting path can
+    pass through them before then.  Returns the matching size and ``mate``,
+    where ``mate[g]`` is the left partner of right vertex g, or -1.
+    """
+    mate = [-1] * len(adj)
+    mate_left = [-1] * len(adj)
+    matched = 0  # right vertices with a partner
+    closed = 0
+    size = 0
+    for root in iter_bits(left):
+        parent: dict[int, int] = {}
+        reached = closed
+        frontier = [root]
+        end = -1
+        while frontier and end < 0:
+            nxt = []
+            for f in frontier:
+                new = adj[f] & right & ~reached
+                free = new & ~matched
+                if free:
+                    end = (free & -free).bit_length() - 1
+                    parent[end] = f
+                    break
+                reached |= new
+                for g in iter_bits(new):
+                    parent[g] = f
+                    nxt.append(mate[g])
+            frontier = nxt
+        if end < 0:
+            closed = reached
+            continue
+        matched |= 1 << end
+        g = end
+        while g >= 0:  # flip the path back to the root
+            f = parent[g]
+            g_prev = mate_left[f]
+            mate[g], mate_left[f] = f, g
+            g = g_prev
+        size += 1
+        closed = 0
+    return size, mate
+
+
+def _koenig_independent_set(adj: list[int], left: int, right: int,
+                            mate: list[int]) -> tuple[int, int]:
+    """Largest independent set (left part, right part) from a maximum matching.
+
+    Z is everything reachable from the unmatched left vertices along
+    alternating paths; by König's theorem (left minus Z) plus (right in Z)
+    is a minimum vertex cover, so its complement (left in Z) plus
+    (right minus Z) is a maximum independent set.
+    """
+    matched_left = 0
+    for g in iter_bits(right):
+        if mate[g] >= 0:
+            matched_left |= 1 << mate[g]
+    z_left = frontier = left & ~matched_left
+    z_right = 0
+    while frontier:
+        new = 0
+        for f in iter_bits(frontier):
+            new |= adj[f]
+        new &= right & ~z_right
+        z_right |= new
+        frontier = 0
+        for g in iter_bits(new):  # every reached right vertex is matched
+            frontier |= 1 << mate[g]
+        z_left |= frontier
+    return z_left, right & ~z_right
 
 
 def max_cross_intersecting(n: int, k: int, budget: SearchBudget | None = None) -> CrossResult:
     """Exact maximum of |F| + |G| over non-empty cross-intersecting k-set pairs.
 
-    For a fixed F the best partner is forced: G(F) = every k-set meeting all
-    of F.  The search branches on F membership only, keeps the forced G as a
-    bitset, and prunes with the optimistic total |F| + |undecided| + |G(F)|
-    plus a transposition table on (depth, G) states.  The time limit counts
-    from the call's start, set-up included.
+    Take the bipartite disjointness graph on two copies of the k-sets (f on
+    the left joined to g on the right when f and g are disjoint): (F, G) is
+    cross-intersecting exactly when F on the left plus G on the right is an
+    independent set.  Non-emptiness is forced by fixing a in F and b in G
+    with a and b meeting; by symmetry a is the first k-set, so F ranges over
+    the sets meeting b and G over the sets meeting a.  König's theorem gives
+    the largest independent set of that subgraph as |left| + |right| minus a
+    maximum matching, with a and b isolated and so always included.
+
+    A node is one forced pair (a, b).  The incumbent starts as the singleton
+    seed F = {a}, G = every set meeting a; the pairs run over b in ascending
+    order and only a strictly larger total replaces it, so ties keep the
+    earliest.  The node limit counts pairs, and the time limit counts from
+    the call's start, set-up included.
     """
     if k < 1 or 2 * k > n:
         raise ValueError(f"needs 1 <= k and 2k <= n, got n={n}, k={k}")
@@ -260,55 +344,34 @@ def max_cross_intersecting(n: int, k: int, budget: SearchBudget | None = None) -
         deadline = start + budget.time_limit_s
     u = Universe(n, 0)
     cands = [mask_of(c) for c in combinations(range(n), k)]
-    m = len(cands)
     meets = meet_rows(u, cands)
-    full = (1 << m) - 1
+    full = (1 << len(cands)) - 1
+    disj = [full & ~row for row in meets]
 
-    # seed with singleton F = {first k-set}: its forced partner is everything meeting it
-    state = {"best": 1 + meets[0].bit_count(), "pair": (1, meets[0]), "nodes": 0}
-    memo: dict[tuple[int, int], int] = {}
-
-    def rec(i: int, fmask: int, fcount: int, g: int) -> None:
-        state["nodes"] += 1
-        if budget.node_limit is not None and state["nodes"] > budget.node_limit:
-            raise _CrossBudget
-        if deadline is not None and time.perf_counter() > deadline:
-            raise _CrossBudget
-        if not g:
-            return
-        if fcount:
-            total = fcount + g.bit_count()
-            if total > state["best"]:
-                state["best"] = total
-                state["pair"] = (fmask, g)
-        if i == m:
-            return
-        if fcount + (m - i) + g.bit_count() <= state["best"]:
-            return
-        if m - i >= 8:  # deep states are cheap to recompute; keep the table small
-            key = (i, g)
-            prev = memo.get(key)
-            if prev is not None and prev >= fcount:
-                return
-            if prev is not None or len(memo) < _MEMO_CAP:
-                memo[key] = fcount
-        if g & ~meets[i] == 0:
-            rec(i + 1, fmask | (1 << i), fcount + 1, g)  # free to include
-            return
-        rec(i + 1, fmask | (1 << i), fcount + 1, g & meets[i])
-        rec(i + 1, fmask, fcount, g)
-
+    right = meets[0]  # G must meet a = cands[0]
+    best, fmask, gmask = 1 + right.bit_count(), 1, right
+    nodes = 0
     proven = True
     try:
         if deadline is not None and time.perf_counter() > deadline:
             raise _CrossBudget  # set-up alone used up the time limit
-        rec(0, 0, 0, full)
+        for b in iter_bits(right):
+            nodes += 1
+            if budget.node_limit is not None and nodes > budget.node_limit:
+                raise _CrossBudget
+            if deadline is not None and time.perf_counter() > deadline:
+                raise _CrossBudget
+            left = meets[b]  # F must meet b
+            size, mate = _max_matching(disj, left, right)
+            total = left.bit_count() + right.bit_count() - size
+            if total > best:
+                best = total
+                fmask, gmask = _koenig_independent_set(disj, left, right, mate)
     except _CrossBudget:
         proven = False
-    fmask, gmask = state["pair"]
     fam_a = Family(u, tuple(cands[i] for i in iter_bits(fmask)))
     fam_b = Family(u, tuple(cands[i] for i in iter_bits(gmask)))
-    return CrossResult(state["best"], fam_a, fam_b, proven, state["nodes"])
+    return CrossResult(best, fam_a, fam_b, proven, nodes)
 
 
 CROSS_ORACLE_CAP = 8
@@ -502,13 +565,34 @@ def _read_completed(jsonl_path: str, conjecture: int) -> dict[GridCell, dict]:
     return done
 
 
+def _evaluate_args(args: tuple) -> CellResult:
+    return evaluate_cell(*args)
+
+
+def _evaluate_cells(conjecture: int, grid: ParameterGrid, cells: list[GridCell],
+                    workers: int) -> Iterator[CellResult]:
+    """Evaluate ``cells`` and yield each result in grid order as soon as it is known."""
+    args = [(conjecture, c, grid.node_limit, grid.time_limit_s) for c in cells]
+    if workers > 1 and args:
+        import multiprocessing as mp
+
+        with mp.Pool(workers) as pool:
+            yield from pool.imap(_evaluate_args, args)
+    else:
+        for a in args:
+            yield evaluate_cell(*a)
+
+
 def hunt(grid: ParameterGrid, conjecture: int, jsonl_path: str,
          csv_path: str | None = None, resume: bool = False,
          workers: int = 1) -> HuntReport:
     """Sweep the grid, appending one JSON line per finished cell.
 
-    With resume=True, cells already present in the JSON-lines file are
-    skipped (their recorded results are kept in the report).
+    Each line is written and flushed as its cell finishes, in grid order
+    (also with ``workers > 1``), so an interrupted sweep loses only the
+    cell in flight.  With resume=True, cells already present in the
+    JSON-lines file are skipped (their recorded results are kept in the
+    report).
     """
     if conjecture not in (1, 2):
         raise ValueError("conjecture must be 1 or 2")
@@ -518,21 +602,11 @@ def hunt(grid: ParameterGrid, conjecture: int, jsonl_path: str,
     pending = [c for c in grid.cells if c not in done]
 
     results: dict[GridCell, CellResult] = {}
-    if workers > 1 and pending:
-        import multiprocessing as mp
-
-        with mp.Pool(workers) as pool:
-            args = [(conjecture, c, grid.node_limit, grid.time_limit_s) for c in pending]
-            for res in pool.starmap(evaluate_cell, args):
-                results[res.cell] = res
-    else:
-        for c in pending:
-            results[c] = evaluate_cell(conjecture, c, grid.node_limit, grid.time_limit_s)
-
     with open(jsonl_path, "a", encoding="utf-8") as fh:
-        for c in grid.cells:
-            if c in results:
-                fh.write(json.dumps(results[c].to_json(), sort_keys=True) + "\n")
+        for res in _evaluate_cells(conjecture, grid, pending, workers):
+            fh.write(json.dumps(res.to_json(), sort_keys=True) + "\n")
+            fh.flush()
+            results[res.cell] = res
 
     report_cells = []
     for c in grid.cells:

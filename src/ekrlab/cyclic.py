@@ -52,10 +52,9 @@ class Interval:
         return (x - self.start) % self.n < self.length
 
     def overlaps(self, other: "Interval") -> bool:
+        """Two arcs meet exactly when one of them starts inside the other."""
         _check_modulus(self, other)
-        if self.n == 0:
-            return False
-        return any(other.contains(x) for x in self.elements())
+        return self.contains(other.start) or other.contains(self.start)
 
 
 def _check_modulus(i1: Interval, i2: Interval) -> None:
@@ -64,11 +63,20 @@ def _check_modulus(i1: Interval, i2: Interval) -> None:
 
 
 def interval_distance(i1: Interval, i2: Interval) -> int:
-    """Minimum cyclic distance over element pairs; 0 exactly when they overlap."""
+    """Minimum cyclic distance over element pairs; 0 exactly when they overlap.
+
+    Disjoint arcs leave two gaps on the cycle; the closest pair straddles
+    one of them, so the distance is the shorter step from the last element
+    of one arc forward to the first element of the other.
+    """
     _check_modulus(i1, i2)
-    if i1.n == 0:
+    n = i1.n
+    if n == 0:
         raise ValueError("distance undefined on the empty axis")
-    return min(point_distance(a, b, i1.n) for a in i1.elements() for b in i2.elements())
+    if i1.overlaps(i2):
+        return 0
+    return min((i2.start - i1.start - i1.length + 1) % n,
+               (i1.start - i2.start - i2.length + 1) % n)
 
 
 def all_intervals(n: int, length: int) -> list[Interval]:

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ekrlab.bounds import cross_bound, hm_bound, nontrivial_bound, two_sided_bound
+from ekrlab import conjectures
+from ekrlab.bounds import binomial, cross_bound, hm_bound, nontrivial_bound, two_sided_bound
 from ekrlab.conjectures import (
     BUDGET_EXHAUSTED,
     CONFIRMED,
@@ -12,6 +14,8 @@ from ekrlab.conjectures import (
     ConstructionSpec,
     GridCell,
     ParameterGrid,
+    _koenig_independent_set,
+    _max_matching,
     best_construction,
     build_construction,
     canonical_spec,
@@ -29,6 +33,7 @@ from ekrlab.families import (
     is_intersecting,
     is_trivially_intersecting,
     is_two_sided_intersecting,
+    iter_bits,
     profile_of,
 )
 from ekrlab.search import SearchBudget
@@ -115,11 +120,87 @@ class TestCrossIntersecting:
         assert not r.proven_optimal
         assert r.max_total >= 1
 
+    @staticmethod
+    def _assert_valid_pair(r, k):
+        a, b = r.family_a.sets, r.family_b.sets
+        assert a and b
+        assert len(a) + len(b) == r.max_total
+        assert all(m.bit_count() == k for m in a + b)
+        assert all(x & y for x in a for y in b)
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 10)
+                                     for k in range(1, min(4, n // 2) + 1)])
+    def test_matches_closed_form_with_valid_witness(self, n, k):
+        r = max_cross_intersecting(n, k)
+        assert r.proven_optimal
+        assert r.max_total == cross_bound(n, k)
+        self._assert_valid_pair(r, k)
+
+    @pytest.mark.parametrize("n,k", [(n, 1) for n in range(2, 9)] + [(4, 2)])
+    def test_matches_oracle_where_it_runs(self, n, k):
+        assert max_cross_intersecting(n, k).max_total == cross_oracle(n, k)
+
+    def test_one_node_keeps_valid_incumbent(self):
+        r = max_cross_intersecting(7, 3, SearchBudget(node_limit=1))
+        assert (r.nodes, r.proven_optimal) == (2, False)
+        self._assert_valid_pair(r, 3)
+
+    def test_node_is_one_forced_pair(self):
+        # the pairs (a, b) run over every k-set b meeting a = {0, ..., k-1}
+        r = max_cross_intersecting(7, 3)
+        assert r.nodes == binomial(7, 3) - binomial(4, 3) == 31
+
+    def test_no_recursion_limit_at_a_thousand_sets(self):
+        # C(14, 4) = 1001 candidate sets: a recursion one level per set would overflow
+        r = max_cross_intersecting(14, 4, SearchBudget(node_limit=3))
+        assert (r.nodes, r.proven_optimal) == (4, False)
+        assert r.max_total == cross_bound(14, 4)
+        self._assert_valid_pair(r, 4)
+
+    def test_deterministic(self):
+        assert max_cross_intersecting(8, 3) == max_cross_intersecting(8, 3)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             max_cross_intersecting(3, 2)
         with pytest.raises(ValueError):
             cross_oracle(6, 2)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Left and right vertex bitsets over one index space, and an arbitrary row per index."""
+    m = draw(st.integers(1, 6))
+    left = draw(st.integers(0, (1 << m) - 1))
+    right = draw(st.integers(0, (1 << m) - 1))
+    adj = [draw(st.integers(0, (1 << m) - 1)) for _ in range(m)]
+    return adj, left, right
+
+
+class TestKoenig:
+    @given(bipartite_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matching_and_independent_set_against_brute_force(self, graph):
+        adj, left, right = graph
+        size, mate = _max_matching(adj, left, right)
+        pairs = [(mate[g], g) for g in iter_bits(right) if mate[g] >= 0]
+        assert len(pairs) == size
+        assert len({f for f, _ in pairs}) == size
+        assert all(left >> f & 1 and adj[f] >> g & 1 for f, g in pairs)
+        fbits, gbits = _koenig_independent_set(adj, left, right, mate)
+        assert fbits & ~left == 0 and gbits & ~right == 0
+        assert all(adj[f] & gbits == 0 for f in iter_bits(fbits))
+        assert fbits.bit_count() + gbits.bit_count() == (
+            left.bit_count() + right.bit_count() - size)
+        lefts = list(iter_bits(left))
+        best = 0
+        for fsub in range(1 << len(lefts)):
+            chosen = [f for i, f in enumerate(lefts) if fsub >> i & 1]
+            blocked = 0
+            for f in chosen:
+                blocked |= adj[f]
+            best = max(best, len(chosen) + (right & ~blocked).bit_count())
+        assert best == fbits.bit_count() + gbits.bit_count()
 
 
 class TestGrid:
@@ -238,6 +319,35 @@ class TestHuntPersistence:
         report = hunt(ParameterGrid(()), 1, str(tmp_path / "h.jsonl"))
         assert report.cells == []
 
+    def test_interrupted_sweep_keeps_finished_cells(self, tmp_path, monkeypatch):
+        grid = ParameterGrid((GridCell(2, 2, 1, 1), GridCell(3, 3, 1, 1), GridCell(4, 4, 2, 2),
+                              GridCell(4, 4, 1, 2), GridCell(5, 4, 2, 2)))
+        fresh = hunt(grid, 2, str(tmp_path / "fresh.jsonl"))
+        jsonl = str(tmp_path / "hunt.jsonl")
+        real = conjectures.evaluate_cell
+        calls = []
+
+        def interrupt_fourth(*args):
+            calls.append(args)
+            if len(calls) == 4:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(conjectures, "evaluate_cell", interrupt_fourth)
+        with pytest.raises(KeyboardInterrupt):
+            hunt(grid, 2, jsonl)
+        monkeypatch.setattr(conjectures, "evaluate_cell", real)
+        lines = [json.loads(line) for line in open(jsonl)]
+        assert [(r["n1"], r["n2"], r["k"], r["l"]) for r in lines] == list(grid.cells[:3])
+        resumed = hunt(grid, 2, jsonl, resume=True)
+
+        def summary(report):
+            return [(c.cell, c.found_max, c.status, c.nodes) for c in report.cells]
+
+        assert summary(resumed) == summary(fresh)
+        lines = [json.loads(line) for line in open(jsonl)]
+        assert [(r["n1"], r["n2"], r["k"], r["l"]) for r in lines] == list(grid.cells)
+
     def test_parallel_workers_match_serial(self, tmp_path):
         grid = self._small_grid()
         serial = hunt(grid, 2, str(tmp_path / "s.jsonl"))
@@ -245,3 +355,11 @@ class TestHuntPersistence:
         s = [(c.cell, c.found_max, c.status) for c in serial.cells]
         p = [(c.cell, c.found_max, c.status) for c in parallel.cells]
         assert s == p
+
+        def lines(path):
+            recs = [json.loads(line) for line in open(path)]
+            for r in recs:
+                del r["elapsed_ms"]
+            return recs
+
+        assert lines(tmp_path / "s.jsonl") == lines(tmp_path / "p.jsonl")

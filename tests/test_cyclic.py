@@ -73,6 +73,29 @@ class TestInterval:
         i1, i2 = Interval(n, s1 % n, l1), Interval(n, s2 % n, l2)
         assert (interval_distance(i1, i2) == 0) == i1.overlaps(i2)
 
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_closed_forms_match_element_scans(self, data):
+        n = data.draw(st.integers(1, 12))
+        i1, i2 = (Interval(n, data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, n)))
+                  for _ in range(2))
+        scan_overlap = any(i2.contains(x) for x in i1.elements())
+        scan_distance = min(point_distance(a, b, n) for a in i1.elements() for b in i2.elements())
+        assert i1.overlaps(i2) == i2.overlaps(i1) == scan_overlap
+        assert interval_distance(i1, i2) == interval_distance(i2, i1) == scan_distance
+
+    def test_closed_forms_full_cycle_and_empty_axis(self):
+        full = Interval(7, 0, 7)
+        for other in all_intervals(7, 1) + all_intervals(7, 6) + [full]:
+            assert full.overlaps(other) and other.overlaps(full)
+            assert interval_distance(full, other) == 0
+        empty = Interval(0, 0, 0)
+        assert not empty.overlaps(empty)
+        with pytest.raises(ValueError, match="empty axis"):
+            interval_distance(empty, empty)
+        with pytest.raises(ValueError, match="modulus"):
+            Interval(5, 0, 2).overlaps(Interval(6, 0, 2))
+
     def test_all_intervals(self):
         assert len(all_intervals(7, 3)) == 7
         assert len(all_intervals(7, 7)) == 1
