@@ -82,9 +82,7 @@ def nontrivial_bound(u: Universe, p: tuple[int, int]) -> int:
     k, l = p
     _require_half(u.n1, k)
     _require_half(u.n2, l)
-    side1 = hm_bound(u.n1, k) * binomial(u.n2, l)
-    side2 = binomial(u.n1, k) * hm_bound(u.n2, l)
-    return max(side1, side2)
+    return max(_nontrivial_term(u.n1, k, u.n2, l), _nontrivial_term(u.n2, l, u.n1, k))
 
 
 def two_sided_bound(u: Universe, p: tuple[int, int]) -> int:
@@ -98,11 +96,18 @@ def two_sided_bound(u: Universe, p: tuple[int, int]) -> int:
     k, l = p
     _require_half(u.n1, k)
     _require_half(u.n2, l)
-    anchor2 = (binomial(u.n2 - 1, l - 1) - binomial(u.n2 - l - 1, l - 1)) * binomial(u.n1, k) \
-        + 1 + binomial(u.n1, k) - binomial(u.n1 - k, k)
-    anchor1 = (binomial(u.n1 - 1, k - 1) - binomial(u.n1 - k - 1, k - 1)) * binomial(u.n2, l) \
-        + 1 + binomial(u.n2, l) - binomial(u.n2 - l, l)
-    return max(anchor2, anchor1)
+    return max(_two_sided_term(u.n2, l, u.n1, k), _two_sided_term(u.n1, k, u.n2, l))
+
+
+def _nontrivial_term(n: int, k: int, m: int, l: int) -> int:
+    """A Hilton-Milner family of k-sets of the n-part crossed with every l-set of the m-part."""
+    return hm_bound(n, k) * binomial(m, l)
+
+
+def _two_sided_term(n: int, k: int, m: int, l: int) -> int:
+    """The two-step construction anchored in the n-part (k-sets) with free m-part (l-sets)."""
+    return (binomial(n - 1, k - 1) - binomial(n - k - 1, k - 1)) * binomial(m, l) \
+        + 1 + binomial(m, l) - binomial(m - l, l)
 
 
 def _require_half(n: int, k: int) -> None:

@@ -207,6 +207,8 @@ def cmd_double_count(args) -> int:
     else:
         if args.seed is None:
             raise ValueError("--random needs --seed")
+        if args.n1 is None or args.profiles is None:
+            raise ValueError("--random needs --n1 and --profiles")
         u = Universe(args.n1, args.n2)
         profiles = parse_profiles(args.profiles)
         pool = candidate_sets(u, profiles)

@@ -24,7 +24,13 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
-from .bounds import binomial, hm_bound, nontrivial_bound, two_sided_bound
+from .bounds import (
+    _nontrivial_term,
+    _two_sided_term,
+    hm_bound,
+    nontrivial_bound,
+    two_sided_bound,
+)
 from .families import (
     Family,
     Profile,
@@ -114,15 +120,13 @@ def expected_construction_size(kind: ConstructionKind, u: Universe, p: tuple[int
     if kind is ConstructionKind.HM_ONE_PART:
         return hm_bound(u.n1, k)
     if kind is ConstructionKind.NONTRIVIAL_X1:
-        return hm_bound(u.n1, k) * binomial(u.n2, l)
+        return _nontrivial_term(u.n1, k, u.n2, l)
     if kind is ConstructionKind.NONTRIVIAL_X2:
-        return binomial(u.n1, k) * hm_bound(u.n2, l)
+        return _nontrivial_term(u.n2, l, u.n1, k)
     if kind is ConstructionKind.TWO_SIDED_X2:
-        return (binomial(u.n2 - 1, l - 1) - binomial(u.n2 - l - 1, l - 1)) * binomial(u.n1, k) \
-            + 1 + binomial(u.n1, k) - binomial(u.n1 - k, k)
+        return _two_sided_term(u.n2, l, u.n1, k)
     if kind is ConstructionKind.TWO_SIDED_X1:
-        return (binomial(u.n1 - 1, k - 1) - binomial(u.n1 - k - 1, k - 1)) * binomial(u.n2, l) \
-            + 1 + binomial(u.n2, l) - binomial(u.n2 - l, l)
+        return _two_sided_term(u.n1, k, u.n2, l)
     raise ValueError(f"unknown kind {kind}")
 
 

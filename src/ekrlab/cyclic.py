@@ -9,6 +9,7 @@ interval is the degenerate empty one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Iterator
 
@@ -233,7 +234,9 @@ class CyclicPermutation:
         if self.n > 0 and self.order[0] != 0:
             raise ValueError("canonical rotation pins element 0 at position 0")
 
+    @cached_property
     def position_of(self) -> dict[int, int]:
+        """Element -> position on the cycle, built once per permutation."""
         return {e: i for i, e in enumerate(self.order)}
 
 
@@ -257,7 +260,11 @@ def permutation_pair_count(n1: int, n2: int) -> int:
 
 
 def _consecutive_interval(positions: list[int], n: int) -> Interval | None:
-    """The interval covering ``positions`` on Z_n when they are consecutive, else None."""
+    """The interval covering ``positions`` on Z_n when they are consecutive, else None.
+
+    A position s starts a run when s-1 is not a position; distinct positions
+    short of the whole cycle are consecutive exactly when one run starts.
+    """
     k = len(positions)
     if n == 0:
         return Interval(0, 0, 0)
@@ -266,10 +273,8 @@ def _consecutive_interval(positions: list[int], n: int) -> Interval | None:
     if k == n:
         return Interval(n, 0, n)
     pos = set(positions)
-    for s in positions:
-        if all((s + i) % n in pos for i in range(k)):
-            return Interval(n, s, k)
-    return None
+    starts = [s for s in positions if (s - 1) % n not in pos]
+    return Interval(n, starts[0], k) if len(starts) == 1 else None
 
 
 def set_to_rectangle(u: Universe, mask: int, c1: CyclicPermutation,
@@ -282,8 +287,8 @@ def set_to_rectangle(u: Universe, mask: int, c1: CyclicPermutation,
     """
     if c1.n != u.n1 or c2.n != u.n2:
         raise ValueError("permutation sizes must match the universe parts")
-    pos1 = c1.position_of()
-    pos2 = c2.position_of()
+    pos1 = c1.position_of
+    pos2 = c2.position_of
     p1 = [pos1[e] for e in iter_bits(mask & u.x1_mask)]
     p2 = [pos2[e - u.n1] for e in iter_bits(mask & u.x2_mask)]
     i = _consecutive_interval(p1, u.n1)

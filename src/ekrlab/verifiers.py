@@ -1,10 +1,15 @@
 """Verifiers for the structural facts behind the double-counting machinery.
 
-Each check validates its stated hypotheses, then either exhaustively
-enumerates every instance inside the given parameter box or samples
-random hypothesis-satisfying instances with a seeded generator.  A
-passing report has an empty counterexample list; sampled runs also record
-how many draws were rejected for failing the hypothesis.
+Each check validates its stated hypotheses, then one driver either tests
+every instance inside the given parameter box (exhaustive) or draws random
+instances with a seeded generator until ``trials`` satisfy the hypothesis
+(sampled).  A check is one test per instance, returning None when the
+instance fails the hypothesis.  A passing report has an empty
+counterexample list; sampled runs also record how many draws were rejected
+for failing the hypothesis.  Exhaustive runs seed the random weights of
+check c3 with 0, so every mode is reproducible.  Rectangles proj-intersect
+exactly when their I-points in X1 plus J-points in X2 meet, so families
+grow over ``search.meet_rows`` rows.
 
 Check ids (the CLI exposes the same numbering):
 
@@ -38,7 +43,8 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, product
+from math import comb, inf
 
 from .cyclic import (
     I_BASE,
@@ -52,6 +58,8 @@ from .cyclic import (
     proj_intersecting,
 )
 from .doublecount import weighted_sum_check
+from .families import Universe, mask_of
+from .search import meet_rows
 
 EXHAUSTIVE_CAP = 2_000_000
 SAMPLE_FACTOR = 200
@@ -95,25 +103,53 @@ def _require(cond: bool, what: str) -> None:
         raise ValueError(f"hypothesis failed: {what}")
 
 
+def _param(params: dict, *names: str) -> list:
+    """The named parameters in order; a missing one is a usage error."""
+    for name in names:
+        if name not in params:
+            raise ValueError(f"missing parameter {name!r}")
+    return [params[name] for name in names]
+
+
 def _rect_json(rects) -> list[list[int]]:
     return sorted([r.i.start, r.i.length, r.j.start, r.j.length] for r in rects)
 
 
-def _compat_rows(rects: list[Rectangle]) -> list[int]:
-    m = len(rects)
-    rows = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if proj_intersecting(rects[i], rects[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return rows
+def _drive(mode, rng, trials, everything, draw, test):
+    """Run ``test`` over the instances and return (instances, counterexamples, rejections).
+
+    ``test(instance)`` returns None when the instance fails the hypothesis,
+    True when the conclusion holds, and otherwise a counterexample record.
+    Exhaustive mode tests every instance of ``everything``; sampled mode
+    tests ``draw(rng)`` until ``trials`` instances satisfy the hypothesis or
+    ``trials * SAMPLE_FACTOR`` draws are spent.
+    """
+    if mode == EXHAUSTIVE:
+        source, target = everything, inf
+    else:
+        source, target = (draw(rng) for _ in range(trials * SAMPLE_FACTOR)), trials
+    instances, bad, rejections = 0, [], 0
+    for instance in source:
+        out = test(instance)
+        if out is None:
+            rejections += 1
+            continue
+        instances += 1
+        if out is not True:
+            bad.append(out)
+        if instances == target:
+            break
+    return instances, bad, rejections if mode == SAMPLED else 0
 
 
-def _iter_proj_families(rects: list[Rectangle], rows: list[int], min_size: int,
-                        cap: int = EXHAUSTIVE_CAP):
+def _proj_rows(n1: int, n2: int, rects: list[Rectangle]) -> list[int]:
+    """For each rectangle, the bitset of the other rectangles it proj-intersects."""
+    masks = [mask_of(r.i.elements()) | mask_of(r.j.elements()) << n1 for r in rects]
+    return [row & ~(1 << v) for v, row in enumerate(meet_rows(Universe(n1, n2), masks))]
+
+
+def _iter_proj_families(rows: list[int], min_size: int, cap: int = EXHAUSTIVE_CAP):
     """Every proj-intersecting subset of size >= min_size, as index tuples."""
-    m = len(rects)
     seen = 0
 
     def rec(chosen: list[int], cand: int):
@@ -134,13 +170,12 @@ def _iter_proj_families(rects: list[Rectangle], rows: list[int], min_size: int,
             yield from rec(chosen, c & rows[v])
             chosen.pop()
 
-    yield from rec([], (1 << m) - 1)
+    yield from rec([], (1 << len(rows)) - 1)
 
 
-def _sample_family(rng: random.Random, rects: list[Rectangle], rows: list[int],
-                   size_range: tuple[int, int]) -> list[int]:
+def _sample_family(rng: random.Random, rows: list[int], size_range: tuple[int, int]) -> list[int]:
     """Grow a random proj-intersecting family toward a random target size."""
-    m = len(rects)
+    m = len(rows)
     target = rng.randint(*size_range)
     order = list(range(m))
     rng.shuffle(order)
@@ -164,10 +199,31 @@ def _shape_space(n1: int, n2: int, shapes) -> list[Rectangle]:
     return sorted(rects)
 
 
+def _family_check(params, mode, rng, trials, shapes, test, min_size: int = 2):
+    """Drive ``test(members)`` over proj-intersecting families of the given shapes.
+
+    ``test`` returns None when the family fails the hypothesis, else whether
+    the conclusion holds; families smaller than ``min_size`` are rejected.
+    """
+    n1, n2 = _param(params, "n1", "n2")
+    rects = _shape_space(n1, n2, shapes)
+    rows = _proj_rows(n1, n2, rects)
+
+    def judge(fam):
+        if len(fam) < min_size:
+            return None
+        members = [rects[i] for i in fam]
+        holds = test(members)
+        return {"family": _rect_json(members)} if holds is False else holds
+
+    return _drive(mode, rng, trials, _iter_proj_families(rows, min_size),
+                  lambda rng: _sample_family(rng, rows, (min_size, len(rects))), judge)
+
+
 # ---------------------------------------------------------------- check 1
 
 def _check_distance_graph_cliques(params, mode, rng, trials):
-    n, k = params["n"], params["k"]
+    n, k = _param(params, "n", "k")
     _require(2 <= 2 * k < n, "2 <= 2k < n")
     adjacent = lambda u, v: u != v and point_distance(u, v, n) <= k - 1
 
@@ -181,7 +237,6 @@ def _check_distance_graph_cliques(params, mode, rng, trials):
     instances = 0
     bad = []
     if mode == EXHAUSTIVE:
-        from math import comb
         if comb(n, k + 1) + comb(n, k) > EXHAUSTIVE_CAP:
             raise InfeasibleExhaustive("too many subsets; use sampled mode")
         for s in range(n):
@@ -189,97 +244,57 @@ def _check_distance_graph_cliques(params, mode, rng, trials):
             instances += 1
             if not is_clique(run):
                 bad.append({"kind": "consecutive run not a clique", "vertices": sorted(run)})
-        for vs in combinations(range(n), k + 1):
-            instances += 1
-            if is_clique(vs):
-                bad.append({"kind": "clique larger than k", "vertices": list(vs)})
-        for vs in combinations(range(n), k):
-            instances += 1
-            if is_clique(vs) and not consecutive(vs):
-                bad.append({"kind": "non-consecutive k-clique", "vertices": list(vs)})
-    else:
-        for _ in range(trials):
-            vs = tuple(sorted(rng.sample(range(n), k + 1)))
-            instances += 1
-            if is_clique(vs):
-                bad.append({"kind": "clique larger than k", "vertices": list(vs)})
-            vs = tuple(sorted(rng.sample(range(n), k)))
-            instances += 1
-            if is_clique(vs) and not consecutive(vs):
-                bad.append({"kind": "non-consecutive k-clique", "vertices": list(vs)})
+        subsets = chain(combinations(range(n), k + 1), combinations(range(n), k))
+    else:  # two draws per trial: one (k+1)-subset, one k-subset
+        subsets = (tuple(sorted(rng.sample(range(n), size)))
+                   for _ in range(trials) for size in (k + 1, k))
+    for vs in subsets:
+        instances += 1
+        if not is_clique(vs):
+            continue
+        if len(vs) > k:
+            bad.append({"kind": "clique larger than k", "vertices": list(vs)})
+        elif not consecutive(vs):
+            bad.append({"kind": "non-consecutive k-clique", "vertices": list(vs)})
     return instances, bad, 0
 
 
 # ---------------------------------------------------------------- check 2
 
 def _check_interval_dispersion(params, mode, rng, trials):
-    n, k, b = params["n"], params["k"], params["b"]
+    n, k, b = _param(params, "n", "k", "b")
     _require(k >= 1 and b >= 1, "k, b positive")
     _require(2 * (k + b) <= n, "2(k+b) <= n")
     intervals = all_intervals(n, k)
     need = k + b + 1
+    if mode == EXHAUSTIVE and comb(len(intervals), need) > EXHAUSTIVE_CAP:
+        raise InfeasibleExhaustive("too many interval subsets; use sampled mode")
 
-    def dispersed(sub):
-        return any(interval_distance(p, q) >= b + 1 for p, q in combinations(sub, 2))
+    def test(sub):
+        if any(interval_distance(p, q) >= b + 1 for p, q in combinations(sub, 2)):
+            return True
+        return {"intervals": sorted((i.start, i.length) for i in sub)}
 
-    instances = 0
-    bad = []
-    if mode == EXHAUSTIVE:
-        from math import comb
-        if comb(len(intervals), need) > EXHAUSTIVE_CAP:
-            raise InfeasibleExhaustive("too many interval subsets; use sampled mode")
-        for sub in combinations(intervals, need):
-            instances += 1
-            if not dispersed(sub):
-                bad.append({"intervals": sorted((i.start, i.length) for i in sub)})
-    else:
-        for _ in range(trials):
-            sub = rng.sample(intervals, need)
-            instances += 1
-            if not dispersed(sub):
-                bad.append({"intervals": sorted((i.start, i.length) for i in sub)})
-    return instances, bad, 0
+    return _drive(mode, rng, trials, combinations(intervals, need),
+                  lambda rng: rng.sample(intervals, need), test)
 
 
 # ---------------------------------------------------------------- check 3
 
 def _check_blocking_pair_existence(params, mode, rng, trials):
-    n1, n2, k, l, b = (params[x] for x in ("n1", "n2", "k", "l", "b"))
+    n1, n2, k, l, b = _param(params, "n1", "n2", "k", "l", "b")
     _require(1 <= k <= b and 1 <= l <= b, "k, l <= b")
     _require(2 * (k + b) <= n1, "2(k+b) <= n1")
     _require(2 * (l + b) <= n2, "2(l+b) <= n2")
-    rects = _shape_space(n1, n2, [(k, l)])
-    rows = _compat_rows(rects)
-    need = 9 * b * b
-
-    instances = 0
-    bad = []
-    rejections = 0
-    if mode == EXHAUSTIVE:
-        for fam in _iter_proj_families(rects, rows, need):
-            instances += 1
-            members = [rects[i] for i in fam]
-            if not find_blocking_pairs(members, b).pairs:
-                bad.append({"family": _rect_json(members)})
-    else:
-        draws = 0
-        while instances < trials and draws < trials * SAMPLE_FACTOR:
-            draws += 1
-            fam = _sample_family(rng, rects, rows, (need, len(rects)))
-            if len(fam) < need:
-                rejections += 1
-                continue
-            instances += 1
-            members = [rects[i] for i in fam]
-            if not find_blocking_pairs(members, b).pairs:
-                bad.append({"family": _rect_json(members)})
-    return instances, bad, rejections
+    return _family_check(params, mode, rng, trials, [(k, l)],
+                         lambda members: bool(find_blocking_pairs(members, b).pairs),
+                         min_size=9 * b * b)
 
 
 # ---------------------------------------------------------------- check 4
 
 def _check_third_rectangle_overlap(params, mode, rng, trials):
-    n1, n2, k, l, b = (params[x] for x in ("n1", "n2", "k", "l", "b"))
+    n1, n2, k, l, b = _param(params, "n1", "n2", "k", "l", "b")
     _require(1 <= k <= b and 1 <= l <= b, "k, l <= b")
 
     i_intervals = all_intervals(n1, k)
@@ -289,203 +304,114 @@ def _check_third_rectangle_overlap(params, mode, rng, trials):
     _require(bool(far_pairs), "some I-interval pair at distance >= b+1 must exist")
     u_intervals = [iv for s in range(1, b + 1) for iv in all_intervals(n1, s)]
     v_intervals = [iv for s in range(1, b + 1) for iv in all_intervals(n2, s)]
+    if mode == EXHAUSTIVE and (len(j_intervals) * len(far_pairs) * len(u_intervals)
+                               * len(v_intervals) > EXHAUSTIVE_CAP):
+        raise InfeasibleExhaustive("too many triples; use sampled mode")
+    # a blocking pair is its two rectangles sharing the base j0
+    pairs = [(Rectangle(i1, j0), Rectangle(i2, j0)) for j0 in j_intervals for i1, i2 in far_pairs]
+    thirds = [Rectangle(uu, vv) for uu in u_intervals for vv in v_intervals]
 
-    def conclusion(j0, i1, i2, uu, vv):
-        r1, r2, third = Rectangle(i1, j0), Rectangle(i2, j0), Rectangle(uu, vv)
+    def draw(rng):
+        j0 = rng.choice(j_intervals)
+        i1, i2 = rng.choice(far_pairs)
+        third = Rectangle(rng.choice(u_intervals), rng.choice(v_intervals))
+        return (Rectangle(i1, j0), Rectangle(i2, j0)), third
+
+    def test(instance):
+        (r1, r2), third = instance
         if not (proj_intersecting(r1, third) and proj_intersecting(r2, third)):
             return None
-        return j0.overlaps(vv)
+        if r1.j.overlaps(third.j):
+            return True
+        return {"base": (r1.j.start, r1.j.length), "pair": _rect_json([r1, r2]),
+                "third": (third.i.start, third.i.length, third.j.start, third.j.length)}
 
-    instances = 0
-    bad = []
-    rejections = 0
-    if mode == EXHAUSTIVE:
-        total = len(j_intervals) * len(far_pairs) * len(u_intervals) * len(v_intervals)
-        if total > EXHAUSTIVE_CAP:
-            raise InfeasibleExhaustive("too many triples; use sampled mode")
-        for j0 in j_intervals:
-            for i1, i2 in far_pairs:
-                for uu in u_intervals:
-                    for vv in v_intervals:
-                        res = conclusion(j0, i1, i2, uu, vv)
-                        if res is None:
-                            continue
-                        instances += 1
-                        if not res:
-                            bad.append({"base": (j0.start, j0.length),
-                                        "pair": _rect_json([Rectangle(i1, j0), Rectangle(i2, j0)]),
-                                        "third": (uu.start, uu.length, vv.start, vv.length)})
-    else:
-        draws = 0
-        while instances < trials and draws < trials * SAMPLE_FACTOR:
-            draws += 1
-            j0 = rng.choice(j_intervals)
-            i1, i2 = rng.choice(far_pairs)
-            uu = rng.choice(u_intervals)
-            vv = rng.choice(v_intervals)
-            res = conclusion(j0, i1, i2, uu, vv)
-            if res is None:
-                rejections += 1
-                continue
-            instances += 1
-            if not res:
-                bad.append({"base": (j0.start, j0.length),
-                            "pair": _rect_json([Rectangle(i1, j0), Rectangle(i2, j0)]),
-                            "third": (uu.start, uu.length, vv.start, vv.length)})
-    return instances, bad, rejections
+    return _drive(mode, rng, trials, product(pairs, thirds), draw, test)
 
 
 # ------------------------------------------------------- checks 5, 6, c1, c2
 
-def _single_shape_family_check(params, mode, rng, trials, hypothesis, conclusion,
-                               strict_box: bool = True):
-    n1, n2, k, l, b = (params[x] for x in ("n1", "n2", "k", "l", "b"))
+def _single_shape(params):
+    n1, n2, k, l, b = _param(params, "n1", "n2", "k", "l", "b")
     _require(1 <= k <= b and 1 <= l <= b, "k, l <= b")
-    if strict_box:
-        _require(2 * (k + b) < n1, "2(k+b) < n1")
-        _require(2 * (l + b) < n2, "2(l+b) < n2")
-    rects = _shape_space(n1, n2, [(k, l)])
-    rows = _compat_rows(rects)
+    _require(2 * (k + b) < n1, "2(k+b) < n1")
+    _require(2 * (l + b) < n2, "2(l+b) < n2")
+    return n1, n2, k, l, b
 
-    instances = 0
-    bad = []
-    rejections = 0
-    if mode == EXHAUSTIVE:
-        for fam in _iter_proj_families(rects, rows, 2):
-            members = [rects[i] for i in fam]
-            scan = find_blocking_pairs(members, b)
-            if not hypothesis(members, scan):
-                continue
-            instances += 1
-            if not conclusion(members, scan):
-                bad.append({"family": _rect_json(members)})
-    else:
-        draws = 0
-        while instances < trials and draws < trials * SAMPLE_FACTOR:
-            draws += 1
-            fam = _sample_family(rng, rects, rows, (2, len(rects)))
-            members = [rects[i] for i in fam]
-            scan = find_blocking_pairs(members, b)
-            if not hypothesis(members, scan):
-                rejections += 1
-                continue
-            instances += 1
-            if not conclusion(members, scan):
-                bad.append({"family": _rect_json(members)})
-    return instances, bad, rejections
+
+def _j_bases(members, b: int) -> int:
+    """How many distinct shared-J blocking-pair bases the members have."""
+    return len(find_blocking_pairs(members, b).distinct_bases(J_BASE))
+
+
+def _class_bound(size: int, b: int, width: int, n: int) -> bool:
+    """The per-class size bound: size < 9b^2, <= 4b^2 + (width-1) n or <= width n."""
+    return size < 9 * b * b or size <= 4 * b * b + (width - 1) * n or size <= width * n
 
 
 def _check_distinct_base_collapse(params, mode, rng, trials):
-    l, b = params["l"], params["b"]
-    n2 = params["n2"]
+    n1, n2, k, l, b = _single_shape(params)
 
-    def hypothesis(members, scan):
-        return len(scan.distinct_bases(J_BASE)) >= l
-
-    def conclusion(members, scan):
+    def test(members):
+        if _j_bases(members, b) < l:
+            return None
         return any(all(r.j.contains(beta) for r in members) for beta in range(n2))
 
-    return _single_shape_family_check(params, mode, rng, trials, hypothesis, conclusion)
+    return _family_check(params, mode, rng, trials, [(k, l)], test)
 
 
 def _check_total_count_bound(params, mode, rng, trials):
-    l, n1 = params["l"], params["n1"]
+    n1, n2, k, l, b = _single_shape(params)
 
-    def hypothesis(members, scan):
-        return len(scan.distinct_bases(J_BASE)) >= l
+    def test(members):
+        return None if _j_bases(members, b) < l else len(members) <= l * n1
 
-    def conclusion(members, scan):
-        return len(members) <= l * n1
-
-    return _single_shape_family_check(params, mode, rng, trials, hypothesis, conclusion)
+    return _family_check(params, mode, rng, trials, [(k, l)], test)
 
 
 def _check_multiplicity_split(params, mode, rng, trials):
-    l, b, n1 = params["l"], params["b"], params["n1"]
+    n1, n2, k, l, b = _single_shape(params)
 
-    def hypothesis(members, scan):
-        return 1 <= len(scan.distinct_bases(J_BASE)) <= l - 1
-
-    def conclusion(members, scan):
+    def test(members):
+        if not 1 <= _j_bases(members, b) <= l - 1:
+            return None
         return len(members) <= 4 * b * b + (l - 1) * n1
 
-    return _single_shape_family_check(params, mode, rng, trials, hypothesis, conclusion)
+    return _family_check(params, mode, rng, trials, [(k, l)], test)
 
 
 def _check_five_way_bound(params, mode, rng, trials):
-    n1, n2, k, l, b = (params[x] for x in ("n1", "n2", "k", "l", "b"))
+    n1, n2, k, l, b = _single_shape(params)
 
-    def hypothesis(members, scan):
-        return True
+    def test(members):
+        return _class_bound(len(members), b, l, n1) or _class_bound(len(members), b, k, n2)
 
-    def conclusion(members, scan):
-        size = len(members)
-        return (size < 9 * b * b
-                or size <= 4 * b * b + (l - 1) * n1
-                or size <= l * n1
-                or size <= 4 * b * b + (k - 1) * n2
-                or size <= k * n2)
-
-    return _single_shape_family_check(params, mode, rng, trials, hypothesis, conclusion)
+    return _family_check(params, mode, rng, trials, [(k, l)], test)
 
 
 # ------------------------------------------------------- checks 7, 8, 9, c3
 
-def _parse_shapes(params, b: int, max_shapes: int | None = None):
-    shapes = [tuple(s) for s in params["shapes"]]
+def _multi_shape(params, ground, what: str, max_shapes: int | None = None):
+    """n1, n2, b and the shapes, requiring ground(b) < n1 and ground(b) < n2."""
+    n1, n2, b = _param(params, "n1", "n2", "b")
+    _require(ground(b) < n1 and ground(b) < n2, f"{what} < n1 and {what} < n2")
+    shapes = [tuple(s) for s in _param(params, "shapes")[0]]
     _require(len(shapes) >= 1, "at least one shape")
     if max_shapes is not None:
         _require(len(shapes) <= max_shapes, f"at most {max_shapes} shapes")
     for k, l in shapes:
         _require(1 <= k <= b and 1 <= l <= b, f"shape ({k},{l}) within 1..b")
-    return shapes
-
-
-def _multi_shape_family_check(params, mode, rng, trials, hypothesis, conclusion,
-                              shapes, min_size: int = 2):
-    n1, n2 = params["n1"], params["n2"]
-    rects = _shape_space(n1, n2, shapes)
-    rows = _compat_rows(rects)
-
-    instances = 0
-    bad = []
-    rejections = 0
-    if mode == EXHAUSTIVE:
-        for fam in _iter_proj_families(rects, rows, min_size):
-            members = [rects[i] for i in fam]
-            if not hypothesis(members):
-                continue
-            instances += 1
-            if not conclusion(members):
-                bad.append({"family": _rect_json(members)})
-    else:
-        draws = 0
-        while instances < trials and draws < trials * SAMPLE_FACTOR:
-            draws += 1
-            fam = _sample_family(rng, rects, rows, (min_size, len(rects)))
-            members = [rects[i] for i in fam]
-            if len(fam) < min_size or not hypothesis(members):
-                rejections += 1
-                continue
-            instances += 1
-            if not conclusion(members):
-                bad.append({"family": _rect_json(members)})
-    return instances, bad, rejections
+    return n1, n2, b, shapes
 
 
 def _check_no_mixed_blocking_pairs(params, mode, rng, trials):
-    n1, n2, b = params["n1"], params["n2"], params["b"]
-    _require(4 * b < n1 and 4 * b < n2, "4b < n1 and 4b < n2")
-    shapes = _parse_shapes(params, b, max_shapes=2)
+    n1, n2, b, shapes = _multi_shape(params, lambda b: 4 * b, "4b", max_shapes=2)
 
-    def hypothesis(members):
-        return True
-
-    def conclusion(members):
+    def test(members):
         kinds = find_blocking_pairs(members, b).kinds_present
         return not (J_BASE in kinds and I_BASE in kinds)
 
-    return _multi_shape_family_check(params, mode, rng, trials, hypothesis, conclusion, shapes)
+    return _family_check(params, mode, rng, trials, shapes, test)
 
 
 def _group_by_shape(members):
@@ -496,71 +422,42 @@ def _group_by_shape(members):
 
 
 def _check_per_shape_bounds(params, mode, rng, trials):
-    n1, n2, b = params["n1"], params["n2"], params["b"]
-    _require(4 * b < n1 and 4 * b < n2, "4b < n1 and 4b < n2")
-    shapes = _parse_shapes(params, b)
+    n1, n2, b, shapes = _multi_shape(params, lambda b: 4 * b, "4b")
 
-    def kinds_inside_classes(members):
-        kinds = set()
-        for rs in _group_by_shape(members).values():
-            kinds |= find_blocking_pairs(rs, b).kinds_present
-        return kinds
-
-    def hypothesis(members):
-        return bool(kinds_inside_classes(members))
-
-    def conclusion(members):
+    def test(members):
         classes = _group_by_shape(members)
-        kinds = kinds_inside_classes(members)
-        ok = True
-        if J_BASE in kinds:
-            ok = ok and all(
-                len(rs) < 9 * b * b
-                or len(rs) <= 4 * b * b + (l_i - 1) * n1
-                or len(rs) <= l_i * n1
-                for (k_i, l_i), rs in classes.items())
-        if I_BASE in kinds:
-            ok = ok and all(
-                len(rs) < 9 * b * b
-                or len(rs) <= 4 * b * b + (k_i - 1) * n2
-                or len(rs) <= k_i * n2
-                for (k_i, l_i), rs in classes.items())
-        return ok
+        kinds = set()
+        for rs in classes.values():
+            kinds |= find_blocking_pairs(rs, b).kinds_present
+        if not kinds:
+            return None
+        j_ok = all(_class_bound(len(rs), b, l_i, n1) for (k_i, l_i), rs in classes.items())
+        i_ok = all(_class_bound(len(rs), b, k_i, n2) for (k_i, l_i), rs in classes.items())
+        return (J_BASE not in kinds or j_ok) and (I_BASE not in kinds or i_ok)
 
-    return _multi_shape_family_check(params, mode, rng, trials, hypothesis, conclusion, shapes)
+    return _family_check(params, mode, rng, trials, shapes, test)
 
 
 def _check_large_ground_bounds(params, mode, rng, trials):
-    n1, n2, b = params["n1"], params["n2"], params["b"]
-    _require(9 * b * b < n1 and 9 * b * b < n2, "9b^2 < n1 and 9b^2 < n2")
-    shapes = _parse_shapes(params, b)
+    n1, n2, b, shapes = _multi_shape(params, lambda b: 9 * b * b, "9b^2")
 
-    def hypothesis(members):
-        return True
-
-    def conclusion(members):
+    def test(members):
         classes = _group_by_shape(members)
         return (all(len(rs) <= l_i * n1 for (k_i, l_i), rs in classes.items())
                 or all(len(rs) <= k_i * n2 for (k_i, l_i), rs in classes.items()))
 
-    return _multi_shape_family_check(params, mode, rng, trials, hypothesis, conclusion, shapes)
+    return _family_check(params, mode, rng, trials, shapes, test)
 
 
 def _check_weighted_sum_bound(params, mode, rng, trials):
-    n1, n2, b = params["n1"], params["n2"], params["b"]
-    _require(9 * b * b < n1 and 9 * b * b < n2, "9b^2 < n1 and 9b^2 < n2")
-    shapes = _parse_shapes(params, b)
+    n1, n2, b, shapes = _multi_shape(params, lambda b: 9 * b * b, "9b^2")
 
-    def hypothesis(members):
-        return True
-
-    def conclusion(members):
+    def test(members):
         lambdas = {s: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for s in shapes}
-        fam = RectFamily(n1, n2, tuple(sorted(set(members))))
-        res = weighted_sum_check(fam, lambdas, b)
+        res = weighted_sum_check(RectFamily(n1, n2, tuple(sorted(set(members)))), lambdas, b)
         return res.hypothesis_ok and res.holds
 
-    return _multi_shape_family_check(params, mode, rng, trials, hypothesis, conclusion, shapes)
+    return _family_check(params, mode, rng, trials, shapes, test)
 
 
 CHECKS = {
@@ -581,14 +478,17 @@ CHECKS = {
 
 def verify_check(check_id: str, params: dict, mode: str = EXHAUSTIVE,
                  seed: int | None = None, trials: int = 1000) -> VerificationReport:
-    """Run one verifier and return its report (passed == no counterexamples)."""
+    """Run one verifier and return its report (passed == no counterexamples).
+
+    Sampled mode needs a seed; exhaustive mode without one seeds with 0.
+    """
     if check_id not in CHECKS:
         raise ValueError(f"unknown check {check_id!r}; known: {sorted(CHECKS)}")
     if mode not in (EXHAUSTIVE, SAMPLED):
         raise ValueError(f"mode must be {EXHAUSTIVE!r} or {SAMPLED!r}")
     if mode == SAMPLED and seed is None:
         raise ValueError("sampled mode needs a seed")
-    rng = random.Random(seed)
+    rng = random.Random(0 if seed is None else seed)
     start = time.perf_counter()
     instances, bad, rejections = CHECKS[check_id](params, mode, rng, trials)
     return VerificationReport(

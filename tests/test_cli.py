@@ -130,6 +130,15 @@ class TestVerifyCommand:
         data = json.loads(out_path.read_text())
         assert data["instances"] == 252
 
+    @pytest.mark.parametrize("argv,missing", [
+        (["3"], "n1"),
+        (["7", "--n1", "5", "--n2", "5", "--b", "1"], "shapes"),
+    ])
+    def test_missing_parameter_exit_2(self, capsys, argv, missing):
+        code, _, err = run_cli(capsys, "verify-lemma", *argv)
+        assert code == 2
+        assert f"missing parameter {missing!r}" in err
+
 
 class TestDoubleCountCommand:
     def test_random_families(self, capsys):
@@ -149,6 +158,15 @@ class TestDoubleCountCommand:
         code, _, err = run_cli(capsys, "double-count", "--n1", "3", "--n2", "3",
                                "--profiles", "1,1", "--random", "5")
         assert code == 2
+
+    def test_random_needs_universe_and_profiles(self, capsys):
+        code, _, err = run_cli(capsys, "double-count", "--random", "5", "--seed", "1")
+        assert code == 2
+        assert "--n1" in err and "--profiles" in err
+        code, _, err = run_cli(capsys, "double-count", "--n1", "3", "--random", "5",
+                               "--seed", "1")
+        assert code == 2
+        assert "--profiles" in err
 
 
 class TestCheckFamilyCommand:

@@ -63,15 +63,16 @@ class TestConstructions:
                     assert all(profile_of(u, m) == Profile(*p) for m in fam.sets)
 
     def test_construction_size_is_a_bound_term(self):
-        u = Universe(5, 4)
-        assert max(
-            expected_construction_size(ConstructionKind.NONTRIVIAL_X1, u, (2, 2)),
-            expected_construction_size(ConstructionKind.NONTRIVIAL_X2, u, (2, 2)),
-        ) == nontrivial_bound(u, (2, 2))
-        assert max(
-            expected_construction_size(ConstructionKind.TWO_SIDED_X1, u, (2, 2)),
-            expected_construction_size(ConstructionKind.TWO_SIDED_X2, u, (2, 2)),
-        ) == two_sided_bound(u, (2, 2))
+        for cell in ParameterGrid.default().cells:
+            u, p = Universe(cell.n1, cell.n2), (cell.k, cell.l)
+            assert max(
+                expected_construction_size(ConstructionKind.NONTRIVIAL_X1, u, p),
+                expected_construction_size(ConstructionKind.NONTRIVIAL_X2, u, p),
+            ) == nontrivial_bound(u, p), cell
+            assert max(
+                expected_construction_size(ConstructionKind.TWO_SIDED_X1, u, p),
+                expected_construction_size(ConstructionKind.TWO_SIDED_X2, u, p),
+            ) == two_sided_bound(u, p), cell
 
     def test_infeasible_kinds_raise(self):
         u = Universe(4, 4)

@@ -21,6 +21,7 @@ from ekrlab.cyclic import (
     projections,
     set_to_rectangle,
 )
+from ekrlab.cyclic import _consecutive_interval
 from ekrlab.families import Universe, mask_of
 
 
@@ -195,7 +196,38 @@ class TestCyclicPermutations:
             CyclicPermutation(3, (0, 0, 2))
 
 
+def _consecutive_by_scan(positions, n):
+    """Reference: try every position as the start of a run covering them all."""
+    k = len(positions)
+    if n == 0:
+        return Interval(0, 0, 0)
+    if k == 0:
+        return None
+    if k == n:
+        return Interval(n, 0, n)
+    pos = set(positions)
+    for s in positions:
+        if all((s + i) % n in pos for i in range(k)):
+            return Interval(n, s, k)
+    return None
+
+
 class TestSetToRectangle:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_consecutive_interval_matches_scan(self, data):
+        n = data.draw(st.integers(0, 9))
+        positions = data.draw(st.permutations(range(n))) if n else []
+        positions = positions[:data.draw(st.integers(0, n))]
+        assert _consecutive_interval(positions, n) == _consecutive_by_scan(positions, n)
+
+    def test_consecutive_interval_every_subset(self):
+        for n in range(1, 8):
+            for bits in range(1 << n):
+                positions = [p for p in range(n) if bits >> p & 1]
+                assert _consecutive_interval(positions, n) == \
+                    _consecutive_by_scan(positions, n), (n, positions)
+
     def test_pair_of_three_cycle_always_interval(self):
         u = Universe(3, 3)
         mask = mask_of([0, 1, 3])

@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from ekrlab import verifiers
 from ekrlab.verifiers import InfeasibleExhaustive, SAMPLED, verify_check
 
 
@@ -159,3 +163,82 @@ class TestVerifierPlumbing:
         # whose hypothesis (1..l-1 distinct bases) is unsatisfiable: zero instances
         report = verify_check("6", {"n1": 5, "n2": 5, "k": 1, "l": 1, "b": 1})
         assert report.instances == 0 and report.passed
+
+
+# Digests of to_json() minus elapsed_ms, recorded before the verifiers shared
+# one exhaustive/sampled driver: the refactor must not change any report.
+_SMALL = {"n1": 5, "n2": 5, "k": 1, "l": 1, "b": 1}
+_WIDE = {"n1": 9, "n2": 9, "k": 2, "l": 2, "b": 2}
+_LINES = {"n1": 10, "n2": 10, "k": 1, "l": 1, "b": 1}
+_UNIT5 = {"n1": 5, "n2": 5, "b": 1, "shapes": [[1, 1]]}
+_TWO_SHAPES = {"n1": 9, "n2": 9, "b": 2, "shapes": [[1, 1], [2, 1]]}
+_UNIT10 = {"n1": 10, "n2": 10, "b": 1, "shapes": [[1, 1]]}
+
+# check id -> (exhaustive params, exhaustive digest, sampled params, digests at seeds 1 and 2)
+PINS = {
+    "1": ({"n": 9, "k": 3}, "9b5a3f1edb4b8487",
+          {"n": 12, "k": 4}, ("7efd876546521c6e", "7efd876546521c6e")),
+    "2": ({"n": 10, "k": 2, "b": 2}, "8d8d7638f0e79f78",
+          {"n": 12, "k": 2, "b": 3}, ("8d2176048920d804", "8d2176048920d804")),
+    "3": (_LINES, "09f7cb20099dd98c", _LINES, ("62c03d070bfc53a0", "62c03d070bfc53a0")),
+    "4": (_SMALL, "eafdfb9f65de30dd", _WIDE, ("1c806dec26039e6e", "b497032dc0c38ea7")),
+    "5": (_SMALL, "418b1f99188f74e1", _WIDE, ("feaceb769cc7f661", "971469151df2ad4c")),
+    "6": (_SMALL, "9a746ec06b31bc67", _WIDE, ("57412eb007fc9e84", "6d14076cd9333ef8")),
+    "7": (_UNIT5, "a182c59d358d4eca", _TWO_SHAPES, ("98fbd8be59d5e068", "98fbd8be59d5e068")),
+    "8": (_UNIT5, "e5446ebd4ecd2a6b", _TWO_SHAPES, ("92872eb8dad9fd74", "087eb81521fc5b16")),
+    "9": (_UNIT10, "f0114c2362c4c5c0", _UNIT10, ("ae8e7ec4b68275e4", "ae8e7ec4b68275e4")),
+    "c1": (_SMALL, "bd236322e25ac09a", _WIDE, ("3bc9eb43e384c37d", "df88becc02ec105f")),
+    "c2": (_SMALL, "17abfc498bac18f4", _WIDE, ("58b190685dedbd19", "58b190685dedbd19")),
+    "c3": (_UNIT10, "49cd99cfe80622b2", _UNIT10, ("f585c80a7d56cd74", "f585c80a7d56cd74")),
+}
+
+
+def _digest(report) -> str:
+    data = report.to_json()
+    data.pop("elapsed_ms")
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("check_id", sorted(PINS))
+def test_exhaustive_report_pinned(check_id):
+    params, want, _, _ = PINS[check_id]
+    assert _digest(verify_check(check_id, params)) == want
+
+
+@pytest.mark.parametrize("check_id", sorted(PINS))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sampled_report_pinned(check_id, seed):
+    _, _, params, wants = PINS[check_id]
+    report = verify_check(check_id, params, mode=SAMPLED, seed=seed, trials=60)
+    assert _digest(report) == wants[seed - 1]
+
+
+def test_exhaustive_c3_reproducible_without_seed(monkeypatch):
+    real = verifiers.weighted_sum_check
+
+    def run():
+        seen = []
+
+        def recording(fam, lambdas, b):
+            if len(seen) < 50:
+                seen.append(dict(lambdas))
+            return real(fam, lambdas, b)
+
+        monkeypatch.setattr(verifiers, "weighted_sum_check", recording)
+        verify_check("c3", _UNIT10)
+        return seen
+
+    first = run()
+    assert len(first) == 50
+    assert run() == first
+
+
+@pytest.mark.parametrize("check_id,params,missing", [
+    ("1", {"n": 9}, "k"),
+    ("3", {}, "n1"),
+    ("7", {"n1": 5, "n2": 5, "b": 1}, "shapes"),
+    ("c2", {"n1": 5, "n2": 5, "k": 1, "b": 1}, "l"),
+])
+def test_missing_parameter_is_a_value_error(check_id, params, missing):
+    with pytest.raises(ValueError, match=f"missing parameter {missing!r}"):
+        verify_check(check_id, params)
