@@ -209,6 +209,8 @@ def cmd_double_count(args) -> int:
             raise ValueError("--random needs --seed")
         if args.n1 is None or args.profiles is None:
             raise ValueError("--random needs --n1 and --profiles")
+        if args.random < 1:
+            raise ValueError("without --family, --random must be at least 1")
         u = Universe(args.n1, args.n2)
         profiles = parse_profiles(args.profiles)
         pool = candidate_sets(u, profiles)

@@ -626,11 +626,26 @@ def hunt(grid: ParameterGrid, conjecture: int, jsonl_path: str,
     report = HuntReport(conjecture, report_cells)
 
     if csv_path:
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        _write_csv(csv_path, report)
+    return report
+
+
+def _write_csv(csv_path: str, report: HuntReport) -> None:
+    """Write the summary table next to its target, then rename it into place.
+
+    A failed write leaves the previous table untouched and no temp file behind.
+    """
+    tmp = f"{csv_path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["conjecture", "n1", "n2", "k", "l",
                              "found_max", "conjectured_bound", "construction_size", "status"])
             for c in report.cells:
                 writer.writerow([c.conjecture, c.cell.n1, c.cell.n2, c.cell.k, c.cell.l,
                                  c.found_max, c.conjectured_bound, c.construction_size, c.status])
-    return report
+        os.replace(tmp, csv_path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -8,8 +8,12 @@ and forms a rectangle in exactly k!(n1-k)! * l!(n2-l)! of the
 (n1-1)!(n2-1)! canonical permutation pairs (full or empty parts always
 form one, so their axis contributes the whole (n-1)! instead).  Summing
 s(F) over all (pair, rectangle-forming member) incidences therefore
-equals |F| exactly, whether grouped by member or by pair.  Everything
-here is exact rational arithmetic; no tolerances anywhere.
+equals |F| exactly, whether grouped by member or by pair.  A member is a
+rectangle under (c1, c2) exactly when its X1 part is consecutive under c1
+and its X2 part under c2, so the by-pair side tests each part once per
+permutation, keeps one member bitset per permutation and per weight class,
+and counts a pair's members with ANDs.  Everything here is exact rational
+arithmetic; no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ from math import factorial
 
 from .cyclic import (
     RectFamily,
+    _consecutive_interval,
     canonical_permutations,
     is_proj_intersecting_family,
     set_to_rectangle,
 )
-from .families import Family, Profile, Universe, normalize_profiles, profile_of
+from .families import Family, Profile, Universe, iter_bits, normalize_profiles, profile_of
 from .bounds import binomial
 
 ENUMERATION_CAP = 6  # (n-1)! pairs per axis stay tiny up to here
@@ -94,14 +99,29 @@ class DoubleCountResult:
         }
 
 
+def _run_bitsets(n: int, parts: list[list[int]]) -> list[int]:
+    """Per canonical permutation of Z_n, the bitset of parts consecutive under it."""
+    out = []
+    for c in canonical_permutations(n):
+        pos = c.position_of
+        bits = 0
+        for i, part in enumerate(parts):
+            if _consecutive_interval([pos[e] for e in part], n) is not None:
+                bits |= 1 << i
+        out.append(bits)
+    return out
+
+
 def double_count_check(f: Family) -> DoubleCountResult:
     """Evaluate the weighted incidence sum both ways and compare with |f|.
 
-    Grouped by member it uses the closed-form pair count; grouped by pair it
-    enumerates every canonical permutation pair and the rectangles formed
-    there.  Both groupings must equal |f| exactly.  Profiles must avoid full
-    parts (k = n1 or l = n2 with the part non-empty), where the closed-form
-    incidence count degenerates and the identity fails.
+    Grouped by member it uses the closed-form pair count.  Grouped by pair
+    it runs over every canonical permutation pair (c1 outer, c2 inner) and
+    sums the weights of the members that form a rectangle there: those whose
+    bit is set in c1's X1 run bitset, in c2's X2 run bitset and in their
+    weight class.  Both groupings must equal |f| exactly.  Profiles must
+    avoid full parts (k = n1 or l = n2 with the part non-empty), where the
+    closed-form incidence count degenerates and the identity fails.
     """
     u = f.universe
     if u.n1 > ENUMERATION_CAP or u.n2 > ENUMERATION_CAP:
@@ -119,14 +139,16 @@ def double_count_check(f: Family) -> DoubleCountResult:
         start=Fraction(0),
     )
 
-    per_pair = []
-    for c1 in canonical_permutations(u.n1):
-        for c2 in canonical_permutations(u.n2):
-            term = Fraction(0)
-            for m in f.sets:
-                if set_to_rectangle(u, m, c1, c2) is not None:
-                    term += weights[m]
-            per_pair.append(term)
+    classes: dict[Fraction, int] = {}
+    for i, m in enumerate(f.sets):
+        classes[weights[m]] = classes.get(weights[m], 0) | 1 << i
+    runs1 = _run_bitsets(u.n1, [list(iter_bits(m & u.x1_mask)) for m in f.sets])
+    runs2 = _run_bitsets(u.n2, [[e - u.n1 for e in iter_bits(m & u.x2_mask)] for m in f.sets])
+    per_pair = [
+        sum((w * (r1 & r2 & cls).bit_count() for w, cls in classes.items()), start=Fraction(0))
+        for r1 in runs1
+        for r2 in runs2
+    ]
     by_pair = sum(per_pair, start=Fraction(0))
     return DoubleCountResult(len(f), by_member, by_pair, tuple(per_pair))
 

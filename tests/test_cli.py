@@ -168,6 +168,14 @@ class TestDoubleCountCommand:
         assert code == 2
         assert "--profiles" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--random", "0"], ["--random", "-3"]])
+    def test_no_random_families_is_a_usage_error(self, capsys, extra):
+        code, out, err = run_cli(capsys, "double-count", "--n1", "3", "--n2", "3",
+                                 "--profiles", "1,1", "--seed", "1", *extra)
+        assert code == 2
+        assert "--random must be at least 1" in err
+        assert "families satisfy" not in out
+
 
 class TestCheckFamilyCommand:
     def test_report(self, capsys, tmp_path):

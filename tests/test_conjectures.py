@@ -296,6 +296,31 @@ class TestHuntPersistence:
         assert len(rows) == 4  # header + cells
         assert rows[0].startswith("conjecture,n1,n2,k,l")
 
+    def test_failed_csv_write_keeps_previous_table(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "hunt.csv"
+        hunt(self._small_grid(), 1, str(tmp_path / "hunt.jsonl"), str(csv_path))
+        before = csv_path.read_bytes()
+        real_writer = conjectures.csv.writer
+
+        class HeaderThenFail:
+            def __init__(self, fh):
+                self.inner = real_writer(fh)
+                self.rows = 0
+
+            def writerow(self, row):
+                if self.rows == 1:
+                    raise OSError("disk full")
+                self.rows += 1
+                self.inner.writerow(row)
+
+        monkeypatch.setattr(conjectures.csv, "writer", HeaderThenFail)
+        with pytest.raises(OSError, match="disk full"):
+            hunt(ParameterGrid((GridCell(2, 2, 1, 1),)), 2,
+                 str(tmp_path / "other.jsonl"), str(csv_path))
+        assert csv_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["hunt.csv", "hunt.jsonl", "other.jsonl"]
+
     def test_resume_skips_completed(self, tmp_path):
         jsonl = str(tmp_path / "hunt.jsonl")
         grid = self._small_grid()

@@ -1,10 +1,20 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ekrlab.cyclic import Interval, RectFamily, Rectangle, all_intervals
+from ekrlab.cyclic import (
+    Interval,
+    RectFamily,
+    Rectangle,
+    all_intervals,
+    canonical_permutations,
+    set_to_rectangle,
+)
 from ekrlab.doublecount import (
+    DoubleCountResult,
     double_count_check,
     enumerate_rectangle_pair_count,
     member_weight,
@@ -12,7 +22,65 @@ from ekrlab.doublecount import (
     weight,
     weighted_sum_check,
 )
-from ekrlab.families import Family, Universe, candidate_sets, mask_of, star_family
+from ekrlab.families import (
+    Family,
+    Profile,
+    Universe,
+    candidate_sets,
+    enumerate_profile_sets,
+    mask_of,
+    profile_of,
+    star_family,
+)
+
+
+def reference_double_count(f: Family) -> DoubleCountResult:
+    """The identity by one full rectangle test per (permutation pair, member)."""
+    u = f.universe
+    weights = {m: member_weight(u, profile_of(u, m)) for m in f.sets}
+    by_member = sum(
+        (Fraction(rectangle_pair_count(u, m)) * weights[m] for m in f.sets),
+        start=Fraction(0),
+    )
+    per_pair = []
+    for c1 in canonical_permutations(u.n1):
+        for c2 in canonical_permutations(u.n2):
+            term = Fraction(0)
+            for m in f.sets:
+                if set_to_rectangle(u, m, c1, c2) is not None:
+                    term += weights[m]
+            per_pair.append(term)
+    return DoubleCountResult(len(f), by_member, sum(per_pair, start=Fraction(0)),
+                             tuple(per_pair))
+
+
+def interior_profiles(u: Universe) -> list[tuple[int, int]]:
+    ls = [0] if u.n2 == 0 else range(1, u.n2)
+    return [(k, l) for k in range(1, u.n1) for l in ls]
+
+
+def result_digest(results) -> str:
+    text = "\n".join(
+        f"{r.size} {r.by_member} {r.by_pair} " + ",".join(map(str, r.per_pair_terms))
+        for r in results)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def benchmark_style_families(seed: int) -> list[Family]:
+    """24 families at (5,5), each 20 random (2,2)-sets and 5 random (1,1)-sets."""
+    u = Universe(5, 5)
+    classes = {p: enumerate_profile_sets(u, Profile(*p)) for p in ((2, 2), (1, 1))}
+    rng = random.Random(seed)
+    fams = []
+    for _ in range(24):
+        sets = rng.sample(classes[(2, 2)], 20) + rng.sample(classes[(1, 1)], 5)
+        fams.append(Family(u, tuple(sets)))
+    return fams
+
+
+def seeded_family(u: Universe, seed: int, size: int) -> Family:
+    pool = candidate_sets(u, interior_profiles(u))
+    return Family(u, tuple(random.Random(seed).sample(pool, size)))
 
 
 class TestWeights:
@@ -98,6 +166,76 @@ class TestDoubleCount:
         f = Family.from_lists(Universe(7, 0), [[0, 1]])
         with pytest.raises(ValueError):
             double_count_check(f)
+
+
+class TestDoubleCountAgainstReference:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_to_full_rectangle_tests(self, data):
+        n1 = data.draw(st.integers(1, 5), label="n1")
+        n2 = data.draw(st.integers(0, 5), label="n2")
+        u = Universe(n1, n2)
+        profiles = interior_profiles(u)
+        sets = []
+        if profiles:
+            chosen = data.draw(st.lists(st.sampled_from(profiles), min_size=1,
+                                        max_size=len(profiles), unique=True), label="profiles")
+            pool = candidate_sets(u, chosen)
+            sets = data.draw(st.lists(st.sampled_from(pool), max_size=min(len(pool), 30),
+                                      unique=True), label="sets")
+        f = Family(u, tuple(sets))
+        assert double_count_check(f) == reference_double_count(f)
+
+    @pytest.mark.parametrize("n1", [2, 3, 4, 5])
+    def test_one_part_universe(self, n1):
+        u = Universe(n1, 0)
+        f = seeded_family(u, n1, len(candidate_sets(u, interior_profiles(u))) // 2 + 1)
+        res = double_count_check(f)
+        assert res == reference_double_count(f)
+        assert res.exact and len(res.per_pair_terms) == len(list(canonical_permutations(n1)))
+
+    def test_distinct_profiles_of_equal_weight(self):
+        u = Universe(3, 3)
+        assert member_weight(u, (1, 2)) == member_weight(u, (2, 1))
+        f = Family(u, tuple(candidate_sets(u, [(1, 2), (2, 1)])))
+        res = double_count_check(f)
+        assert res == reference_double_count(f)
+        assert res.exact and res.size == 18
+
+    def test_empty_family(self):
+        f = Family(Universe(4, 3), ())
+        res = double_count_check(f)
+        assert res == reference_double_count(f)
+        assert res.exact and res.per_pair_terms == (Fraction(0),) * 12
+
+    # sha256 over size, by_member, by_pair and every per-pair term, recorded
+    # with one full rectangle test per (permutation pair, member)
+    PINNED = {
+        1: "b0eb6ed617c1668c370420284d2d3edf627214b37a7231c7e019b1a4b664546e",
+        2: "f2e404099a4bf06524a7914ccbccf6a9cb2f5db832503034d74d024f23d84771",
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_pinned_benchmark_style_families(self, seed):
+        results = [double_count_check(f) for f in benchmark_style_families(seed)]
+        assert all(r.exact and r.size == 25 for r in results)
+        assert result_digest(results) == self.PINNED[seed]
+
+
+class TestDoubleCountAtCap:
+    @pytest.mark.parametrize("n1,n2,size", [(6, 6, 40), (6, 5, 30), (6, 0, 12)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_exact_at_enumeration_cap(self, n1, n2, size, seed):
+        u = Universe(n1, n2)
+        res = double_count_check(seeded_family(u, seed, size))
+        pairs = len(list(canonical_permutations(n1))) * len(list(canonical_permutations(n2)))
+        assert res.exact and res.size == size
+        assert len(res.per_pair_terms) == pairs
+        assert sum(res.per_pair_terms) == res.by_pair == size
+
+    def test_equal_to_full_rectangle_tests_at_cap(self):
+        f = seeded_family(Universe(6, 6), 3, 2)
+        assert double_count_check(f) == reference_double_count(f)
 
 
 class TestWeightedSum:
