@@ -299,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constraint", default="any", choices=["any", "nontrivial", "twosided"])
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--time-limit-ms", type=int, default=None)
-    p.add_argument("--symmetry", action="store_true", help="orbit-restricted root branching")
+    p.add_argument("--symmetry", action="store_true",
+                   help="orbit-restricted roots and orbital branching below the first root")
     p.set_defaults(fn=cmd_search_max)
 
     p = sub.add_parser("verify-lemma", help="run one structural verifier")
@@ -323,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conjecture", required=True,
                    help="1/nontrivial or 2/twosided")
     p.add_argument("--grid", default=None, help="grid JSON file (default desk-scale grid)")
-    p.add_argument("--resume", action="store_true", help="skip cells already in the report")
+    p.add_argument("--resume", action="store_true",
+                   help="skip cells already in the report; error cells run again")
     p.set_defaults(fn=cmd_hunt)
     return parser
 

@@ -566,7 +566,8 @@ def _read_completed(jsonl_path: str, conjecture: int) -> dict[GridCell, dict]:
                 rec = json.loads(line)
                 if rec.get("conjecture") == conjecture:
                     done[GridCell(rec["n1"], rec["n2"], rec["k"], rec["l"])] = rec
-    return done
+    # a cell's last record counts; an error there leaves the cell pending
+    return {c: rec for c, rec in done.items() if rec["status"] != CELL_ERROR}
 
 
 def _evaluate_args(args: tuple) -> CellResult:
@@ -596,7 +597,7 @@ def hunt(grid: ParameterGrid, conjecture: int, jsonl_path: str,
     (also with ``workers > 1``), so an interrupted sweep loses only the
     cell in flight.  With resume=True, cells already present in the
     JSON-lines file are skipped (their recorded results are kept in the
-    report).
+    report), except cells whose last record is an error: those run again.
     """
     if conjecture not in (1, 2):
         raise ValueError("conjecture must be 1 or 2")

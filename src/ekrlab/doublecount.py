@@ -35,11 +35,15 @@ from .bounds import binomial
 ENUMERATION_CAP = 6  # (n-1)! pairs per axis stay tiny up to here
 
 
+def _weight_numerator(u: Universe, p: tuple[int, int]) -> int:
+    """C(n1,k) * C(n2,l): the weight of a member with profile p, times n1! * n2!."""
+    k, l = Profile(*p)
+    return binomial(u.n1, k) * binomial(u.n2, l)
+
+
 def member_weight(u: Universe, p: tuple[int, int]) -> Fraction:
     """The double-counting weight of any member with profile p, as a reduced rational."""
-    k, l = Profile(*p)
-    return Fraction(binomial(u.n1, k) * binomial(u.n2, l),
-                    factorial(u.n1) * factorial(u.n2))
+    return Fraction(_weight_numerator(u, p), factorial(u.n1) * factorial(u.n2))
 
 
 def weight(u: Universe, profiles, mask: int) -> Fraction:
@@ -133,24 +137,23 @@ def double_count_check(f: Family) -> DoubleCountResult:
                 f"profile ({k},{l}) has an empty or full part; the identity needs interior profiles"
             )
 
-    weights = {m: member_weight(u, profile_of(u, m)) for m in f.sets}
-    by_member = sum(
-        (Fraction(rectangle_pair_count(u, m)) * weights[m] for m in f.sets),
-        start=Fraction(0),
-    )
+    # every weight shares the denominator n1! * n2!: sum integer numerators
+    denom = factorial(u.n1) * factorial(u.n2)
+    nums = [_weight_numerator(u, profile_of(u, m)) for m in f.sets]
+    by_member = Fraction(sum(rectangle_pair_count(u, m) * w for m, w in zip(f.sets, nums)), denom)
 
-    classes: dict[Fraction, int] = {}
-    for i, m in enumerate(f.sets):
-        classes[weights[m]] = classes.get(weights[m], 0) | 1 << i
+    classes: dict[int, int] = {}
+    for i, w in enumerate(nums):
+        classes[w] = classes.get(w, 0) | 1 << i
     runs1 = _run_bitsets(u.n1, [list(iter_bits(m & u.x1_mask)) for m in f.sets])
     runs2 = _run_bitsets(u.n2, [[e - u.n1 for e in iter_bits(m & u.x2_mask)] for m in f.sets])
-    per_pair = [
-        sum((w * (r1 & r2 & cls).bit_count() for w, cls in classes.items()), start=Fraction(0))
+    pair_nums = [
+        sum(w * (r1 & r2 & cls).bit_count() for w, cls in classes.items())
         for r1 in runs1
         for r2 in runs2
     ]
-    by_pair = sum(per_pair, start=Fraction(0))
-    return DoubleCountResult(len(f), by_member, by_pair, tuple(per_pair))
+    per_pair = tuple(Fraction(t, denom) for t in pair_nums)
+    return DoubleCountResult(len(f), by_member, Fraction(sum(pair_nums), denom), per_pair)
 
 
 @dataclass(frozen=True)

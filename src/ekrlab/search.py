@@ -16,6 +16,24 @@ BBMC).  The constraint prunes test precomputed rows: ``avoid[e]`` (the
 candidates missing e) and, for two-sided search, ``miss1[v]`` /
 ``miss2[v]`` (the neighbours whose intersection with v misses X1 / X2).
 
+With ``symmetry=True`` the search uses the group S_n1 x S_n2, which
+preserves profiles, adjacency and both constraints.  Its orbits on sets
+are the profile classes, and each class roots once, at its earliest
+vertex in the degeneracy order.  Below the position-0 root the search
+does orbital branching (Ostrowski et al.).  The atoms of a clique R split
+the ground set into blocks of elements with the same part and the same
+membership in every set of R; a permutation inside the atoms fixes every
+set of R, and two candidates lie in one orbit of that atom group exactly
+when they meet every atom in the same number of elements.  After
+branching on v a node drops v's whole class from its candidates, since
+any extension through a class-mate maps onto one through v.  That needs
+the invariant that every node's candidate set is a union of classes: the
+position-0 root's candidates are all its neighbours, which its stabiliser
+maps onto themselves, and a child's candidates are its parent's (a union
+of classes) meeting the neighbours of v (fixed by the child's smaller
+group).  A later root's candidates are cut to the vertices after it in
+the order, which breaks the invariant, so it branches plainly.
+
 A plain subset-enumeration oracle, which never looks at the graph, backs
 the solver for small instances.
 """
@@ -179,33 +197,29 @@ def _bucket_remove(buckets: dict[int, int], d: int, bits: int) -> None:
         del buckets[d]
 
 
-def _swap_bits(mask: int, a: int, b: int) -> int:
-    if ((mask >> a) ^ (mask >> b)) & 1:
-        return mask ^ ((1 << a) | (1 << b))
-    return mask
+def _orbit_classes(p: int, atoms, inc) -> list[int]:
+    """Split the vertex bitset p into orbits of the atom group.
+
+    The atoms are disjoint element bitsets, and the atom group permutes
+    the elements inside each atom.  Two sets lie in one orbit exactly when
+    they meet every atom in the same number of elements, so p is refined
+    atom by atom over the incidence rows inc[e] = S_e: while an atom's
+    elements are read, level c holds the vertices of p with c of them.
+    """
+    classes = [p]
+    for atom in atoms:
+        levels = [p]
+        for e in iter_bits(atom):
+            s = inc[e]
+            levels = [a & ~s | b & s for a, b in zip(levels + [0], [0] + levels)]
+        classes = [c & lv for c in classes for lv in levels if c & lv]
+    return classes
 
 
-def _vertex_orbits(graph: CompatibilityGraph) -> list[int]:
-    """Orbit ids of vertices under part-preserving element transpositions."""
-    u = graph.universe
-    index_of = {mask: i for i, mask in enumerate(graph.vertices)}
-    parent = list(range(graph.size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    gens = [(a, a + 1) for a in range(u.n1 - 1)]
-    gens += [(a, a + 1) for a in range(u.n1, u.size - 1)]
-    for a, b in gens:
-        for i, mask in enumerate(graph.vertices):
-            j = index_of[_swap_bits(mask, a, b)]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    return [find(i) for i in range(graph.size)]
+def _split_atoms(atoms, vmask: int):
+    """The atoms of R + v: every atom of R split by v, or None when all are singletons."""
+    out = tuple(part for a in atoms for part in (a & vmask, a & ~vmask) if part)
+    return out if any(a & (a - 1) for a in out) else None
 
 
 class _BudgetExhausted(Exception):
@@ -230,8 +244,9 @@ class _CliqueSearch:
         self.best = 0
         self.best_witness: tuple[int, ...] = ()
         everyone = (1 << graph.size) - 1
-        # avoid[e]: vertices missing element e; nonadj[v]: non-neighbours of v, v excluded
-        self.avoid = [everyone ^ s for s in element_incidence(u, self.masks)]
+        # inc[e] = S_e; avoid[e]: vertices missing element e; nonadj[v]: non-neighbours of v
+        self.inc = element_incidence(u, self.masks)
+        self.avoid = [everyone ^ s for s in self.inc]
         self.nonadj = [everyone ^ row ^ (1 << v) for v, row in enumerate(self.adj)]
         if constraint is Constraint.TWO_SIDED:
             # miss1[v] / miss2[v]: neighbours whose intersection with v misses X1 / X2
@@ -279,11 +294,13 @@ class _CliqueSearch:
         return order
 
     def _expand(self, rbits: int, rsize: int, and_all: int, miss1: bool, miss2: bool,
-                p: int) -> None:
+                p: int, atoms) -> None:
         """Branch on the candidates p of the clique R (bitset rbits, rsize members).
 
         and_all is the intersection of R's sets; miss1 / miss2 record that
-        some pair of R already misses X1 / X2.
+        some pair of R already misses X1 / X2.  atoms, when not None, are
+        R's atoms and p is a union of their orbit classes: after branching
+        on v, v's whole class leaves p (orbital branching).
         """
         self._tick()
         if not p:
@@ -307,10 +324,13 @@ class _CliqueSearch:
         two_sided = constraint is Constraint.TWO_SIDED
         adj, masks = self.adj, self.masks
         csize = rsize + 1
+        classes = None
         for v, color in reversed(self._color_order(p, self.best - rsize + 1)):
             if rsize + color <= self.best:
                 return
             bit = 1 << v
+            if not p & bit:
+                continue  # in the class of a vertex already branched on
             child_and = and_all & masks[v]
             if two_sided:
                 cm1 = miss1 or bool(self.miss1[v] & rbits)
@@ -320,8 +340,14 @@ class _CliqueSearch:
             child = rbits | bit
             if csize >= self.best and self._valid(child_and, cm1, cm2):
                 self.offer(csize, tuple(iter_bits(child)))
-            self._expand(child, csize, child_and, cm1, cm2, p & adj[v])
-            p ^= bit
+            child_atoms = None if atoms is None else _split_atoms(atoms, masks[v])
+            self._expand(child, csize, child_and, cm1, cm2, p & adj[v], child_atoms)
+            if atoms is None:
+                p ^= bit
+            else:  # v's whole class leaves p
+                if classes is None:  # first needed here: a pruned node never pays for it
+                    classes = _orbit_classes(p, atoms, self.inc)
+                p ^= next(c for c in classes if c & bit)
 
     def _valid(self, and_all: int, miss1: bool, miss2: bool) -> bool:
         if self.constraint is Constraint.ANY:
@@ -332,16 +358,17 @@ class _CliqueSearch:
 
     def run(self) -> tuple[bool, int]:
         order = _degeneracy_order(self.adj)
+        suffix = (1 << self.graph.size) - 1
         eligible = None
         if self.symmetry:
-            orbit = _vertex_orbits(self.graph)
-            pos = {v: i for i, v in enumerate(order)}
-            best_pos: dict[int, int] = {}
-            for v in order:
-                o = orbit[v]
-                best_pos[o] = min(best_pos.get(o, pos[v]), pos[v])
-            eligible = {v for v in order if best_pos[orbit[v]] == pos[v]}
-        suffix = (1 << self.graph.size) - 1
+            # the orbits of S_n1 x S_n2 (atoms X1, X2) are the profile classes;
+            # each class roots once, at its earliest vertex in the order
+            pos = [0] * self.graph.size
+            for i, v in enumerate(order):
+                pos[v] = i
+            parts = (self.x1m, self.x2m)
+            eligible = {min(iter_bits(c), key=pos.__getitem__)
+                        for c in _orbit_classes(suffix, parts, self.inc)}
         completed = True
         try:
             if self.deadline is not None and time.perf_counter() > self.deadline:
@@ -355,7 +382,12 @@ class _CliqueSearch:
                 vmask = self.masks[v]
                 if self._valid(vmask, False, False):
                     self.offer(1, (v,))
-                self._expand(bit, 1, vmask, False, False, self.adj[v] & suffix)
+                # below the position-0 root p is every neighbour of v, closed
+                # under v's stabiliser, so orbital branching is sound there
+                atoms = None
+                if eligible is not None and v == order[0]:
+                    atoms = _split_atoms(parts, vmask)
+                self._expand(bit, 1, vmask, False, False, self.adj[v] & suffix, atoms)
         except _BudgetExhausted:
             completed = False
         return completed, self.nodes

@@ -335,6 +335,25 @@ class TestHuntPersistence:
         lines = [json.loads(line) for line in open(jsonl)]
         assert len(lines) == 3
 
+    def test_resume_reruns_error_cells(self, tmp_path):
+        jsonl = tmp_path / "hunt.jsonl"
+        cell = GridCell(4, 4, 2, 2)
+        failed = conjectures.CellResult(1, cell, 0, 0, 0, conjectures.CELL_ERROR, False, 0, 0.0,
+                                        None, "RuntimeError: worker died")
+        jsonl.write_text(json.dumps(failed.to_json(), sort_keys=True) + "\n")
+        resumed = hunt(ParameterGrid((cell,)), 1, str(jsonl), resume=True)
+        fresh = evaluate_cell(1, cell)
+        assert fresh.status != conjectures.CELL_ERROR
+        [c] = resumed.cells
+        assert (c.status, c.found_max, c.nodes, c.error) == \
+            (fresh.status, fresh.found_max, fresh.nodes, None)
+        lines = [json.loads(line) for line in open(jsonl)]
+        assert [r["status"] for r in lines] == [conjectures.CELL_ERROR, fresh.status]
+        # the new record now counts: a second resume keeps it and runs nothing
+        again = hunt(ParameterGrid((cell,)), 1, str(jsonl), resume=True)
+        assert again.cells[0].status == fresh.status
+        assert len(open(jsonl).readlines()) == 2
+
     def test_no_counterexample_without_proof(self, tmp_path):
         jsonl = str(tmp_path / "hunt.jsonl")
         grid = ParameterGrid((GridCell(5, 5, 2, 2),), node_limit=3)

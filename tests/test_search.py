@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -162,6 +163,26 @@ class TestSolver:
             pruned = max_intersecting(Universe(4, 4), [(2, 2)], constraint, symmetry=True)
             assert plain.max_size == pruned.max_size
             _check_witness(pruned, Universe(4, 4), [(2, 2)], constraint)
+
+    @pytest.mark.parametrize("constraint", list(Constraint), ids=lambda c: c.value)
+    def test_symmetry_keeps_every_small_maximum(self, constraint):
+        # every one- and two-profile list with n1, n2 <= 4; two-sided search
+        # without a seed is far slower, so its lists stop at n1 + n2 <= 7
+        # (one profile) and 6 (two): (4,4){(2,3)} alone takes ~16M plain nodes
+        for n1, n2 in itertools.product(range(1, 5), range(5)):
+            u = Universe(n1, n2)
+            if constraint is Constraint.TWO_SIDED and not u.two_part:
+                continue
+            profs = [(k, l) for k in range(1, n1 + 1) for l in range(min(n2, 1), n2 + 1)]
+            for size in (1, 2):
+                if constraint is Constraint.TWO_SIDED and n1 + n2 > 8 - size:
+                    continue
+                for profiles in itertools.combinations(profs, size):
+                    plain = max_intersecting(u, profiles, constraint)
+                    pruned = max_intersecting(u, profiles, constraint, symmetry=True)
+                    assert plain.proven_optimal and pruned.proven_optimal
+                    assert pruned.max_size == plain.max_size, (n1, n2, profiles)
+                    _check_witness(pruned, u, profiles, constraint)
 
     def test_node_budget_returns_incumbent(self):
         r = max_intersecting(Universe(4, 4), [(2, 2)], budget=SearchBudget(node_limit=10))

@@ -3,7 +3,10 @@
 The pinned node counts, maxima and witnesses were recorded from the
 pair-loop kernel that preceded the bitset rows, so any change to the tree
 the search visits (order, colouring, prunes, tie-breaks) shows up here.
-Witnesses are pinned by a digest of their canonical JSON lists.
+The symmetry-on hunt cells were re-pinned when orbital branching below
+the first root came in: their node counts fell, their maxima and
+witnesses did not change.  Witnesses are pinned by a digest of their
+canonical JSON lists.
 """
 
 import hashlib
@@ -20,10 +23,13 @@ from ekrlab.search import (
     SearchBudget,
     _CliqueSearch,
     _degeneracy_order,
+    _orbit_classes,
+    _split_atoms,
     build_graph,
     element_incidence,
     max_intersecting,
 )
+from ekrlab.families import iter_bits
 
 
 def _digest(result) -> str:
@@ -32,12 +38,14 @@ def _digest(result) -> str:
 
 # (conjecture, n1, n2, k, l) -> (nodes, max_size, witness digest)
 HUNT_CELLS = {
-    (1, 4, 5, 2, 2): (1342, 30, "846f0f29f12dfc40"),
-    (1, 5, 4, 2, 2): (174, 30, "a8a8b5ff0b9b441f"),
-    (1, 5, 5, 2, 1): (2558, 15, "dee07ee1c96f6d75"),
-    (2, 4, 5, 2, 2): (9096, 28, "b7c72fb21f767130"),
-    (2, 5, 4, 2, 2): (1881, 28, "aca5595b6f6c9377"),
-    (2, 5, 5, 2, 1): (7608, 13, "b47238f5d20e8fe3"),
+    (1, 4, 5, 2, 2): (664, 30, "846f0f29f12dfc40"),
+    (1, 5, 4, 2, 2): (71, 30, "a8a8b5ff0b9b441f"),
+    (1, 5, 5, 2, 1): (327, 15, "dee07ee1c96f6d75"),
+    (1, 5, 5, 2, 2): (42046, 35, "596cf30760cc8af0"),
+    (2, 4, 5, 2, 2): (4442, 28, "b7c72fb21f767130"),
+    (2, 5, 4, 2, 2): (739, 28, "aca5595b6f6c9377"),
+    (2, 5, 5, 2, 1): (777, 13, "b47238f5d20e8fe3"),
+    (2, 5, 5, 2, 2): (42046, 35, "596cf30760cc8af0"),
 }
 
 # (constraint, symmetry) -> (nodes, max_size, witness digest) at (4,4),(2,2)
@@ -68,6 +76,13 @@ class TestPinnedTree:
         r = max_intersecting(Universe(4, 4), [(2, 2)], constraint, symmetry=symmetry)
         assert r.proven_optimal
         assert (r.nodes, r.max_size, _digest(r)) == SMALL_CELL[key]
+
+    def test_two_profile_symmetry(self):
+        # two root classes: orbital branching below the position-0 root, plain below the other
+        r = max_intersecting(Universe(4, 4), [(1, 2), (2, 1)], Constraint.NONTRIVIAL,
+                             symmetry=True)
+        assert r.proven_optimal
+        assert (r.nodes, r.max_size, _digest(r)) == (319, 14, "eb19fb6df19c373c")
 
     def test_wide_any(self):
         r = max_intersecting(Universe(8, 8), [(2, 2)])
@@ -147,6 +162,74 @@ class TestRows:
                 want = sum(1 << w for w, b in enumerate(g.vertices)
                            if g.adjacency[v] >> w & 1 and not a & b & side)
                 assert rows[v] == want
+
+
+def _swap_bits(mask, a, b):
+    if ((mask >> a) ^ (mask >> b)) & 1:
+        return mask ^ ((1 << a) | (1 << b))
+    return mask
+
+
+def reference_orbits(vertices, atoms):
+    """Orbit ids by union-find over the transpositions of neighbouring atom elements."""
+    index_of = {mask: i for i, mask in enumerate(vertices)}
+    parent = list(range(len(vertices)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for atom in atoms:
+        elems = list(iter_bits(atom))
+        for a, b in zip(elems, elems[1:]):
+            for i, mask in enumerate(vertices):
+                ri, rj = find(i), find(index_of[_swap_bits(mask, a, b)])
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(len(vertices))]
+
+
+def _atoms_from_scratch(u, sets):
+    """The blocks of elements that agree on part and on membership in every set."""
+    blocks = {}
+    for e in range(u.size):
+        key = (e < u.n1,) + tuple(bool(s >> e & 1) for s in sets)
+        blocks[key] = blocks.get(key, 0) | 1 << e
+    return sorted(blocks.values())
+
+
+class TestOrbitClasses:
+    @given(instances(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_classes_are_atom_group_orbits(self, inst, data):
+        u, profiles = inst
+        g = build_graph(u, profiles)
+        sets = data.draw(st.lists(st.sampled_from(g.vertices), max_size=3))
+        atoms = _atoms_from_scratch(u, sets)
+        p = data.draw(st.integers(0, (1 << g.size) - 1))
+        orbit = reference_orbits(g.vertices, atoms)
+        want = {}
+        for v in iter_bits(p):
+            want[orbit[v]] = want.get(orbit[v], 0) | 1 << v
+        got = _orbit_classes(p, atoms, element_incidence(u, g.vertices))
+        assert sorted(got) == sorted(want.values())
+
+    @given(instances(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_child_atoms_split_the_parent_atoms(self, inst, data):
+        u, profiles = inst
+        g = build_graph(u, profiles)
+        sets = data.draw(st.lists(st.sampled_from(g.vertices), min_size=1, max_size=3))
+        atoms = _atoms_from_scratch(u, [])
+        for i in range(len(sets)):
+            atoms = _split_atoms(atoms, sets[i])
+            want = _atoms_from_scratch(u, sets[:i + 1])
+            if atoms is None:  # only singletons left: the atom group is trivial
+                assert all(a & (a - 1) == 0 for a in want)
+                break
+            assert sorted(atoms) == want
 
 
 class TestBudgetFromEntry:
