@@ -218,8 +218,14 @@ def _orbit_classes(p: int, atoms, inc) -> list[int]:
 
 def _split_atoms(atoms, vmask: int):
     """The atoms of R + v: every atom of R split by v, or None when all are singletons."""
-    out = tuple(part for a in atoms for part in (a & vmask, a & ~vmask) if part)
-    return out if any(a & (a - 1) for a in out) else None
+    out = []
+    wide = False
+    for a in atoms:
+        for part in (a & vmask, a & ~vmask):
+            if part:
+                out.append(part)
+                wide = wide or bool(part & (part - 1))
+    return tuple(out) if wide else None
 
 
 class _BudgetExhausted(Exception):
