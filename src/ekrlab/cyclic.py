@@ -104,13 +104,26 @@ def proj_intersecting(r1: Rectangle, r2: Rectangle) -> bool:
     return r1.i.overlaps(r2.i) or r1.j.overlaps(r2.j)
 
 
+def _arc_mask(iv: Interval) -> int:
+    """The bitset of an interval's elements on Z_n."""
+    run = ((1 << iv.length) - 1) << iv.start
+    return (run | run >> iv.n) & ((1 << iv.n) - 1)
+
+
 def is_proj_intersecting_family(rects: Iterable[Rectangle]) -> bool:
+    """True when every two rectangles proj-intersect.
+
+    A pair fails exactly when both its I-element bitsets and its J-element
+    bitsets are disjoint.
+    """
     rs = list(rects)
-    for a in range(len(rs)):
-        for b in range(a + 1, len(rs)):
-            if not proj_intersecting(rs[a], rs[b]):
-                return False
-    return True
+    masks = []
+    for r in rs:
+        _check_modulus(r.i, rs[0].i)
+        _check_modulus(r.j, rs[0].j)
+        masks.append((_arc_mask(r.i), _arc_mask(r.j)))
+    return all(i1 & i2 or j1 & j2
+               for a, (i1, j1) in enumerate(masks) for i2, j2 in masks[a + 1:])
 
 
 @dataclass(frozen=True)
@@ -206,19 +219,30 @@ class BlockingPairScan:
 
 
 def find_blocking_pairs(rects: Iterable[Rectangle], b: int) -> BlockingPairScan:
-    """All pairs with equal J and d(I1,I2) >= b+1, or equal I and d(J1,J2) >= b+1."""
+    """All pairs with equal J and d(I1,I2) >= b+1, or equal I and d(J1,J2) >= b+1.
+
+    Pairs come in sorted-rectangle order: (x, y) with x < y, and for the same
+    (x, y) the shared-J pair before the shared-I pair.  Only rectangles with
+    equal J (or equal I) can pair, so distances are tested inside those
+    buckets alone.
+    """
     if b < 1:
         raise ValueError("b must be at least 1")
-    rs = sorted(rects)
-    pairs = []
-    for x in range(len(rs)):
-        for y in range(x + 1, len(rs)):
-            r1, r2 = rs[x], rs[y]
-            if r1.j == r2.j and interval_distance(r1.i, r2.i) >= b + 1:
-                pairs.append(BlockingPair(J_BASE, r1, r2, r1.j))
-            if r1.i == r2.i and interval_distance(r1.j, r2.j) >= b + 1:
-                pairs.append(BlockingPair(I_BASE, r1, r2, r1.i))
-    return BlockingPairScan(tuple(pairs))
+    # the dataclass order as a plain tuple, without a method call per comparison
+    rs = sorted(rects, key=lambda r: (r.i.n, r.i.start, r.i.length, r.j.n, r.j.start, r.j.length))
+    found = []
+    for order, kind, axes in ((0, J_BASE, lambda r: (r.j, r.i)), (1, I_BASE, lambda r: (r.i, r.j))):
+        buckets: dict[Interval, list[int]] = {}
+        for x, r in enumerate(rs):
+            buckets.setdefault(axes(r)[0], []).append(x)
+        for xs in buckets.values():
+            for a, x in enumerate(xs):
+                base, apart = axes(rs[x])
+                for y in xs[a + 1:]:
+                    if interval_distance(apart, axes(rs[y])[1]) >= b + 1:
+                        found.append((x, y, order, BlockingPair(kind, rs[x], rs[y], base)))
+    found.sort(key=lambda t: t[:3])
+    return BlockingPairScan(tuple(t[3] for t in found))
 
 
 @dataclass(frozen=True)

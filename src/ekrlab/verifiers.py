@@ -11,6 +11,19 @@ check c3 with 0, so every mode is reproducible.  Rectangles proj-intersect
 exactly when their I-points in X1 plus J-points in X2 meet, so families
 grow over ``search.meet_rows`` rows.
 
+The other relation tests also read bitset rows built once per call.  The
+family checks take each rectangle's blocking partners (same J and
+I-distance >= b+1, or same I and J-distance >= b+1) from
+``find_blocking_pairs`` on the whole shape space; the predicate is
+pairwise, so a family's blocking pairs are the space's pairs inside its
+member mask, and check 8 intersects that mask with one shape class at a
+time.  Check 2 keeps one far-row per interval (the intervals at distance
+>= b+1).  Check 1 keeps the adjacency rows of the distance graph; in
+exhaustive mode it enumerates only the cliques of size k and k+1, in
+ascending vertex order by bitset recursion, and counts the C(n,k+1) +
+C(n,k) subsets arithmetically, since a subset that is not a clique cannot
+fail.
+
 Check ids (the CLI exposes the same numbering):
 
   1   distance-graph cliques: max clique of the <=(k-1)-distance graph on
@@ -43,7 +56,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import comb, inf
 
 from .cyclic import (
@@ -58,7 +71,7 @@ from .cyclic import (
     proj_intersecting,
 )
 from .doublecount import weighted_sum_check
-from .families import Universe, mask_of
+from .families import Universe, iter_bits, mask_of
 from .search import meet_rows
 
 EXHAUSTIVE_CAP = 2_000_000
@@ -199,21 +212,63 @@ def _shape_space(n1: int, n2: int, shapes) -> list[Rectangle]:
     return sorted(rects)
 
 
-def _family_check(params, mode, rng, trials, shapes, test, min_size: int = 2):
-    """Drive ``test(members)`` over proj-intersecting families of the given shapes.
+class _BlockingRows:
+    """Blocking-pair rows over a shape space, built once per check.
 
-    ``test`` returns None when the family fails the hypothesis, else whether
-    the conclusion holds; families smaller than ``min_size`` are rejected.
+    ``rows[kind][v]`` is the bitset of rectangles forming a ``kind`` pair with
+    rectangle v, taken from ``find_blocking_pairs`` on the whole space.  The
+    predicate is pairwise, so a family's blocking pairs are the space's pairs
+    with both ends in the family's member mask.
     """
-    n1, n2 = _param(params, "n1", "n2")
+
+    def __init__(self, rects: list[Rectangle], b: int):
+        index = {r: v for v, r in enumerate(rects)}
+        self.rects = rects
+        self.rows = {J_BASE: [0] * len(rects), I_BASE: [0] * len(rects)}
+        for p in find_blocking_pairs(rects, b).pairs:
+            x, y = index[p.first], index[p.second]
+            self.rows[p.kind][x] |= 1 << y
+            self.rows[p.kind][y] |= 1 << x
+        self.shape_masks: dict[tuple[int, int], int] = {}
+        for v, r in enumerate(rects):
+            self.shape_masks[r.shape] = self.shape_masks.get(r.shape, 0) | 1 << v
+
+    def kinds(self, mask: int) -> set[str]:
+        """The blocking-pair kinds with both ends inside ``mask``."""
+        return {kind for kind, row in self.rows.items()
+                if any(row[v] & mask for v in iter_bits(mask))}
+
+    def j_bases(self, mask: int) -> int:
+        """How many distinct shared-J bases the blocking pairs inside ``mask`` have."""
+        row = self.rows[J_BASE]
+        return len({self.rects[v].j for v in iter_bits(mask) if row[v] & mask})
+
+    def class_sizes(self, mask: int) -> dict[tuple[int, int], int]:
+        """Shape -> member count for every shape class present in ``mask``."""
+        sizes = {s: (mask & m).bit_count() for s, m in self.shape_masks.items()}
+        return {s: c for s, c in sizes.items() if c}
+
+
+def _family_check(params, mode, rng, trials, shapes, test, min_size: int = 2):
+    """Drive ``test(members, mask, blocking)`` over proj-intersecting families of the shapes.
+
+    ``members`` are the family's rectangles in sorted order, ``mask`` its
+    bitset over the sorted shape space and ``blocking`` the space's
+    ``_BlockingRows``.  ``test`` returns None when the family fails the
+    hypothesis, else whether the conclusion holds; families smaller than
+    ``min_size`` are rejected.
+    """
+    n1, n2, b = _param(params, "n1", "n2", "b")
     rects = _shape_space(n1, n2, shapes)
     rows = _proj_rows(n1, n2, rects)
+    blocking = _BlockingRows(rects, b)
 
     def judge(fam):
         if len(fam) < min_size:
             return None
-        members = [rects[i] for i in fam]
-        holds = test(members)
+        mask = mask_of(fam)
+        members = [rects[v] for v in iter_bits(mask)]
+        holds = test(members, mask, blocking)
         return {"family": _rect_json(members)} if holds is False else holds
 
     return _drive(mode, rng, trials, _iter_proj_families(rows, min_size),
@@ -225,38 +280,57 @@ def _family_check(params, mode, rng, trials, shapes, test, min_size: int = 2):
 def _check_distance_graph_cliques(params, mode, rng, trials):
     n, k = _param(params, "n", "k")
     _require(2 <= 2 * k < n, "2 <= 2k < n")
-    adjacent = lambda u, v: u != v and point_distance(u, v, n) <= k - 1
+    near = [0] * n  # adjacency rows of the <=(k-1)-distance graph
+    for u, v in combinations(range(n), 2):
+        if point_distance(u, v, n) <= k - 1:
+            near[u] |= 1 << v
+            near[v] |= 1 << u
+    bad = []
 
     def is_clique(vs):
-        return all(adjacent(a, b) for a, b in combinations(vs, 2))
+        mask = mask_of(vs)
+        return all(mask & ~near[v] == 1 << v for v in vs)
 
-    def consecutive(vs):
-        pos = set(vs)
-        return any(all((s + i) % n in pos for i in range(len(vs))) for s in vs)
+    def judge(vs):
+        """Record the clique ``vs`` (ascending) if it is larger than k or not consecutive."""
+        if len(vs) > k:
+            bad.append({"kind": "clique larger than k", "vertices": list(vs)})
+        elif not any(all((s + i) % n in vs for i in range(k)) for s in vs):
+            bad.append({"kind": "non-consecutive k-clique", "vertices": list(vs)})
 
-    instances = 0
-    bad = []
+    def cliques(chosen, cand):
+        """Judge every clique of size k and k+1 extending ``chosen`` inside ``cand``."""
+        if len(chosen) >= k:
+            judge(chosen)
+            if len(chosen) > k:
+                return
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand ^= 1 << v
+            if len(chosen) + 1 + cand.bit_count() < k:
+                return
+            chosen.append(v)
+            cliques(chosen, cand & near[v])
+            chosen.pop()
+
     if mode == EXHAUSTIVE:
-        if comb(n, k + 1) + comb(n, k) > EXHAUSTIVE_CAP:
+        subsets = comb(n, k + 1) + comb(n, k)
+        if subsets > EXHAUSTIVE_CAP:
             raise InfeasibleExhaustive("too many subsets; use sampled mode")
         for s in range(n):
             run = [(s + i) % n for i in range(k)]
-            instances += 1
             if not is_clique(run):
                 bad.append({"kind": "consecutive run not a clique", "vertices": sorted(run)})
-        subsets = chain(combinations(range(n), k + 1), combinations(range(n), k))
-    else:  # two draws per trial: one (k+1)-subset, one k-subset
-        subsets = (tuple(sorted(rng.sample(range(n), size)))
-                   for _ in range(trials) for size in (k + 1, k))
-    for vs in subsets:
-        instances += 1
-        if not is_clique(vs):
-            continue
-        if len(vs) > k:
-            bad.append({"kind": "clique larger than k", "vertices": list(vs)})
-        elif not consecutive(vs):
-            bad.append({"kind": "non-consecutive k-clique", "vertices": list(vs)})
-    return instances, bad, 0
+        # every (k+1)- and k-subset is an instance; only the cliques among them can fail
+        cliques([], (1 << n) - 1)
+        return n + subsets, bad, 0
+    # two draws per trial: one (k+1)-subset, one k-subset
+    for _ in range(trials):
+        for size in (k + 1, k):
+            vs = tuple(sorted(rng.sample(range(n), size)))
+            if is_clique(vs):
+                judge(vs)
+    return 2 * trials, bad, 0
 
 
 # ---------------------------------------------------------------- check 2
@@ -269,14 +343,19 @@ def _check_interval_dispersion(params, mode, rng, trials):
     need = k + b + 1
     if mode == EXHAUSTIVE and comb(len(intervals), need) > EXHAUSTIVE_CAP:
         raise InfeasibleExhaustive("too many interval subsets; use sampled mode")
+    # far[p]: the intervals at distance >= b+1 from interval p
+    far = [mask_of(q for q, other in enumerate(intervals) if interval_distance(iv, other) >= b + 1)
+           for iv in intervals]
 
     def test(sub):
-        if any(interval_distance(p, q) >= b + 1 for p, q in combinations(sub, 2)):
+        mask = mask_of(sub)
+        if any(far[p] & mask for p in sub):
             return True
-        return {"intervals": sorted((i.start, i.length) for i in sub)}
+        return {"intervals": sorted((intervals[p].start, intervals[p].length) for p in sub)}
 
-    return _drive(mode, rng, trials, combinations(intervals, need),
-                  lambda rng: rng.sample(intervals, need), test)
+    # sampling positions draws the same random numbers as sampling the intervals
+    return _drive(mode, rng, trials, combinations(range(len(intervals)), need),
+                  lambda rng: rng.sample(range(len(intervals)), need), test)
 
 
 # ---------------------------------------------------------------- check 3
@@ -287,7 +366,7 @@ def _check_blocking_pair_existence(params, mode, rng, trials):
     _require(2 * (k + b) <= n1, "2(k+b) <= n1")
     _require(2 * (l + b) <= n2, "2(l+b) <= n2")
     return _family_check(params, mode, rng, trials, [(k, l)],
-                         lambda members: bool(find_blocking_pairs(members, b).pairs),
+                         lambda members, mask, blocking: bool(blocking.kinds(mask)),
                          min_size=9 * b * b)
 
 
@@ -339,11 +418,6 @@ def _single_shape(params):
     return n1, n2, k, l, b
 
 
-def _j_bases(members, b: int) -> int:
-    """How many distinct shared-J blocking-pair bases the members have."""
-    return len(find_blocking_pairs(members, b).distinct_bases(J_BASE))
-
-
 def _class_bound(size: int, b: int, width: int, n: int) -> bool:
     """The per-class size bound: size < 9b^2, <= 4b^2 + (width-1) n or <= width n."""
     return size < 9 * b * b or size <= 4 * b * b + (width - 1) * n or size <= width * n
@@ -352,8 +426,8 @@ def _class_bound(size: int, b: int, width: int, n: int) -> bool:
 def _check_distinct_base_collapse(params, mode, rng, trials):
     n1, n2, k, l, b = _single_shape(params)
 
-    def test(members):
-        if _j_bases(members, b) < l:
+    def test(members, mask, blocking):
+        if blocking.j_bases(mask) < l:
             return None
         return any(all(r.j.contains(beta) for r in members) for beta in range(n2))
 
@@ -363,8 +437,8 @@ def _check_distinct_base_collapse(params, mode, rng, trials):
 def _check_total_count_bound(params, mode, rng, trials):
     n1, n2, k, l, b = _single_shape(params)
 
-    def test(members):
-        return None if _j_bases(members, b) < l else len(members) <= l * n1
+    def test(members, mask, blocking):
+        return None if blocking.j_bases(mask) < l else len(members) <= l * n1
 
     return _family_check(params, mode, rng, trials, [(k, l)], test)
 
@@ -372,8 +446,8 @@ def _check_total_count_bound(params, mode, rng, trials):
 def _check_multiplicity_split(params, mode, rng, trials):
     n1, n2, k, l, b = _single_shape(params)
 
-    def test(members):
-        if not 1 <= _j_bases(members, b) <= l - 1:
+    def test(members, mask, blocking):
+        if not 1 <= blocking.j_bases(mask) <= l - 1:
             return None
         return len(members) <= 4 * b * b + (l - 1) * n1
 
@@ -383,7 +457,7 @@ def _check_multiplicity_split(params, mode, rng, trials):
 def _check_five_way_bound(params, mode, rng, trials):
     n1, n2, k, l, b = _single_shape(params)
 
-    def test(members):
+    def test(members, mask, blocking):
         return _class_bound(len(members), b, l, n1) or _class_bound(len(members), b, k, n2)
 
     return _family_check(params, mode, rng, trials, [(k, l)], test)
@@ -407,32 +481,26 @@ def _multi_shape(params, ground, what: str, max_shapes: int | None = None):
 def _check_no_mixed_blocking_pairs(params, mode, rng, trials):
     n1, n2, b, shapes = _multi_shape(params, lambda b: 4 * b, "4b", max_shapes=2)
 
-    def test(members):
-        kinds = find_blocking_pairs(members, b).kinds_present
+    def test(members, mask, blocking):
+        kinds = blocking.kinds(mask)
         return not (J_BASE in kinds and I_BASE in kinds)
 
     return _family_check(params, mode, rng, trials, shapes, test)
 
 
-def _group_by_shape(members):
-    classes: dict[tuple[int, int], list[Rectangle]] = {}
-    for r in members:
-        classes.setdefault(r.shape, []).append(r)
-    return classes
-
-
 def _check_per_shape_bounds(params, mode, rng, trials):
     n1, n2, b, shapes = _multi_shape(params, lambda b: 4 * b, "4b")
 
-    def test(members):
-        classes = _group_by_shape(members)
+    def test(members, mask, blocking):
+        # each shape class on its own: a J-pair across two classes sharing l does not count
         kinds = set()
-        for rs in classes.values():
-            kinds |= find_blocking_pairs(rs, b).kinds_present
+        for shape_mask in blocking.shape_masks.values():
+            kinds |= blocking.kinds(mask & shape_mask)
         if not kinds:
             return None
-        j_ok = all(_class_bound(len(rs), b, l_i, n1) for (k_i, l_i), rs in classes.items())
-        i_ok = all(_class_bound(len(rs), b, k_i, n2) for (k_i, l_i), rs in classes.items())
+        sizes = blocking.class_sizes(mask)
+        j_ok = all(_class_bound(size, b, l_i, n1) for (k_i, l_i), size in sizes.items())
+        i_ok = all(_class_bound(size, b, k_i, n2) for (k_i, l_i), size in sizes.items())
         return (J_BASE not in kinds or j_ok) and (I_BASE not in kinds or i_ok)
 
     return _family_check(params, mode, rng, trials, shapes, test)
@@ -441,10 +509,10 @@ def _check_per_shape_bounds(params, mode, rng, trials):
 def _check_large_ground_bounds(params, mode, rng, trials):
     n1, n2, b, shapes = _multi_shape(params, lambda b: 9 * b * b, "9b^2")
 
-    def test(members):
-        classes = _group_by_shape(members)
-        return (all(len(rs) <= l_i * n1 for (k_i, l_i), rs in classes.items())
-                or all(len(rs) <= k_i * n2 for (k_i, l_i), rs in classes.items()))
+    def test(members, mask, blocking):
+        sizes = blocking.class_sizes(mask)
+        return (all(size <= l_i * n1 for (k_i, l_i), size in sizes.items())
+                or all(size <= k_i * n2 for (k_i, l_i), size in sizes.items()))
 
     return _family_check(params, mode, rng, trials, shapes, test)
 
@@ -452,9 +520,9 @@ def _check_large_ground_bounds(params, mode, rng, trials):
 def _check_weighted_sum_bound(params, mode, rng, trials):
     n1, n2, b, shapes = _multi_shape(params, lambda b: 9 * b * b, "9b^2")
 
-    def test(members):
+    def test(members, mask, blocking):
         lambdas = {s: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for s in shapes}
-        res = weighted_sum_check(RectFamily(n1, n2, tuple(sorted(set(members)))), lambdas, b)
+        res = weighted_sum_check(RectFamily(n1, n2, tuple(members)), lambdas, b)
         return res.hypothesis_ok and res.holds
 
     return _family_check(params, mode, rng, trials, shapes, test)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ekrlab.cyclic import (
     I_BASE,
     J_BASE,
+    BlockingPair,
     CyclicPermutation,
     Interval,
     RectFamily,
@@ -179,6 +180,67 @@ class TestBlockingPairs:
                     else:
                         assert pair.first.i == pair.second.i == pair.base
                         assert interval_distance(pair.first.j, pair.second.j) >= b + 1
+
+
+def _blocking_pairs_by_scan(rects, b):
+    """Reference: every pair of the sorted rectangles tested for both kinds."""
+    rs = sorted(rects)
+    pairs = []
+    for x in range(len(rs)):
+        for y in range(x + 1, len(rs)):
+            r1, r2 = rs[x], rs[y]
+            if r1.j == r2.j and interval_distance(r1.i, r2.i) >= b + 1:
+                pairs.append(BlockingPair(J_BASE, r1, r2, r1.j))
+            if r1.i == r2.i and interval_distance(r1.j, r2.j) >= b + 1:
+                pairs.append(BlockingPair(I_BASE, r1, r2, r1.i))
+    return tuple(pairs)
+
+
+def _proj_intersecting_by_pairs(rects):
+    """Reference: one proj_intersecting call per pair."""
+    rs = list(rects)
+    return all(proj_intersecting(rs[a], rs[b])
+               for a in range(len(rs)) for b in range(a + 1, len(rs)))
+
+
+@st.composite
+def rect_lists(draw, min_n=1, max_n=10):
+    """Rectangles of mixed shapes on one Z_n1 x Z_n2, duplicates allowed."""
+    n1, n2 = draw(st.integers(min_n, max_n)), draw(st.integers(min_n, max_n))
+
+    def interval(n):
+        if n == 0:
+            return st.just(Interval(0, 0, 0))
+        # short lengths make equal projections, hence blocking pairs, common
+        lengths = st.integers(1, min(n, 3)) | st.just(n)
+        return st.builds(Interval, st.just(n), st.integers(0, n - 1), lengths)
+
+    return draw(st.lists(st.builds(Rectangle, interval(n1), interval(n2)), max_size=25))
+
+
+class TestGroupedKernels:
+    @given(rects=rect_lists(), b=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_blocking_pairs_match_pairwise_scan(self, rects, b):
+        assert find_blocking_pairs(rects, b).pairs == _blocking_pairs_by_scan(rects, b)
+
+    def test_blocking_pairs_match_on_whole_spaces(self):
+        for n, b in ((9, 2), (8, 1), (10, 3)):
+            space = [Rectangle(i, j) for k in (1, 2) for i in all_intervals(n, k)
+                     for j in all_intervals(n, 2)]
+            random.Random(n).shuffle(space)
+            assert find_blocking_pairs(space, b).pairs == _blocking_pairs_by_scan(space, b)
+
+    @given(rects=rect_lists(min_n=0, max_n=8))
+    @settings(max_examples=200, deadline=None)
+    def test_proj_intersecting_family_matches_pairwise(self, rects):
+        assert is_proj_intersecting_family(rects) == _proj_intersecting_by_pairs(rects)
+
+    def test_proj_intersecting_family_rejects_mixed_moduli(self):
+        r5 = Rectangle(Interval(5, 0, 1), Interval(5, 0, 1))
+        r6 = Rectangle(Interval(6, 0, 1), Interval(5, 0, 1))
+        with pytest.raises(ValueError, match="modulus"):
+            is_proj_intersecting_family([r5, r6])
 
 
 class TestCyclicPermutations:

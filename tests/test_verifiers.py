@@ -1,9 +1,12 @@
 import hashlib
 import json
+from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ekrlab import verifiers
+from ekrlab.cyclic import J_BASE, find_blocking_pairs, point_distance
 from ekrlab.verifiers import InfeasibleExhaustive, SAMPLED, verify_check
 
 
@@ -242,3 +245,120 @@ def test_exhaustive_c3_reproducible_without_seed(monkeypatch):
 def test_missing_parameter_is_a_value_error(check_id, params, missing):
     with pytest.raises(ValueError, match=f"missing parameter {missing!r}"):
         verify_check(check_id, params)
+
+
+# Digests of the benchmark-size calls (perfbench's VERIFIER_CASES), recorded
+# before the verifiers moved onto precomputed relation rows.
+# check id -> (params, sampled trials or None for exhaustive, digests at seeds 1 and 2)
+BENCH_PINS = {
+    "1": ({"n": 24, "k": 5}, None, ("0ddaaaf91a78eec3",)),
+    "2": ({"n": 16, "k": 3, "b": 3}, None, ("d87ffbf58d1be7fb",)),
+    "3": (_LINES, 800, ("9edfa0a084ffa86c", "9edfa0a084ffa86c")),
+    "4": ({"n1": 10, "n2": 10, "k": 2, "l": 2, "b": 2}, None, ("0585d087bc5ff1c2",)),
+    "5": (_WIDE, 200, ("7b88c7058797af11", "7e75b83a35492745")),
+    "6": (_WIDE, 200, ("f3a5744f8628007d", "925e496f8c1f62db")),
+    "7": (_TWO_SHAPES, 400, ("6225a9fbb0daf1af", "6225a9fbb0daf1af")),
+    "8": (_TWO_SHAPES, 300, ("0797616198f7028d", "dba24a4b799675af")),
+    "9": (_UNIT10, 2000, ("10cf8f895693cccc", "10cf8f895693cccc")),
+    "c1": (_WIDE, 200, ("5f7fa08ca0229c0b", "af4558a040519654")),
+    "c2": (_WIDE, 600, ("1e45534a6de5f9a8", "1e45534a6de5f9a8")),
+    "c3": (_UNIT10, 1000, ("da81c0162104844a", "da81c0162104844a")),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(BENCH_PINS))
+def test_benchmark_size_report_pinned(check_id):
+    params, trials, wants = BENCH_PINS[check_id]
+    if trials is None:
+        reports = [verify_check(check_id, params)]
+    else:
+        reports = [verify_check(check_id, params, mode=SAMPLED, seed=seed, trials=trials)
+                   for seed in (1, 2)]
+    assert tuple(_digest(r) for r in reports) == wants
+
+
+@st.composite
+def spaces_and_families(draw):
+    """A one- or two-shape space and a random subfamily of it (not necessarily intersecting)."""
+    n1, n2, b = draw(st.integers(5, 9)), draw(st.integers(5, 9)), draw(st.integers(1, 2))
+    shapes = draw(st.sampled_from([
+        [(1, 1)], [(2, 2)], [(1, 2)],
+        [(1, 2), (2, 2)],  # equal l: J-pairs across the two classes
+        [(2, 1), (2, 2)],  # equal k: I-pairs across the two classes
+        [(1, 1), (2, 1)],
+    ]))
+    rects = verifiers._shape_space(n1, n2, shapes)
+    picked = draw(st.lists(st.integers(0, len(rects) - 1), max_size=30, unique=True))
+    return rects, b, picked
+
+
+class TestBlockingRows:
+    @given(spaces_and_families())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_blocking_scan(self, case):
+        rects, b, picked = case
+        blocking = verifiers._BlockingRows(rects, b)
+        mask = sum(1 << v for v in picked)
+        members = [rects[v] for v in picked]
+        # whole union (check 7 and the single-shape checks)
+        scan = find_blocking_pairs(members, b)
+        assert blocking.kinds(mask) == scan.kinds_present
+        assert blocking.j_bases(mask) == len(scan.distinct_bases(J_BASE))
+        # one shape class at a time (check 8)
+        for shape, shape_mask in blocking.shape_masks.items():
+            in_class = [r for r in members if r.shape == shape]
+            assert blocking.kinds(mask & shape_mask) == find_blocking_pairs(in_class, b).kinds_present
+        sizes = blocking.class_sizes(mask)
+        assert sizes == {s: sum(r.shape == s for r in members)
+                         for s in {r.shape for r in members}}
+
+
+def _cliques_by_subset_filter(n, k, dist):
+    """Reference: exhaustive check 1 as a pairwise test of every (k+1)- and k-subset."""
+    def is_clique(vs):
+        return all(a != b and dist(a, b, n) <= k - 1 for a, b in combinations(vs, 2))
+
+    def consecutive(vs):
+        return any(all((s + i) % n in vs for i in range(len(vs))) for s in vs)
+
+    instances, bad = 0, []
+    for s in range(n):
+        run = [(s + i) % n for i in range(k)]
+        instances += 1
+        if not is_clique(run):
+            bad.append({"kind": "consecutive run not a clique", "vertices": sorted(run)})
+    for vs in chain(combinations(range(n), k + 1), combinations(range(n), k)):
+        instances += 1
+        if not is_clique(vs):
+            continue
+        if len(vs) > k:
+            bad.append({"kind": "clique larger than k", "vertices": list(vs)})
+        elif not consecutive(vs):
+            bad.append({"kind": "non-consecutive k-clique", "vertices": list(vs)})
+    return instances, sorted(bad, key=repr)
+
+
+def _halved_distance(u, v, n):
+    return point_distance(u, v, n) // 2
+
+
+def _unwrapped_distance(u, v, n):
+    return abs(u - v)
+
+
+@pytest.mark.parametrize("dist,kinds", [
+    (point_distance, set()),
+    (_halved_distance, {"clique larger than k", "non-consecutive k-clique"}),
+    (_unwrapped_distance, {"consecutive run not a clique"}),
+])
+def test_exhaustive_cliques_match_subset_filter(monkeypatch, dist, kinds):
+    # a wrong distance makes counterexamples, so their records are compared too
+    monkeypatch.setattr(verifiers, "point_distance", dist)
+    seen = set()
+    for n in range(3, 13):
+        for k in range(1, (n - 1) // 2 + 1):
+            report = verify_check("1", {"n": n, "k": k})
+            instances, bad = _cliques_by_subset_filter(n, k, dist)
+            assert (report.instances, report.counterexamples) == (instances, bad), (n, k)
+            seen |= {c["kind"] for c in bad}
+    assert seen == kinds
