@@ -34,6 +34,18 @@ of classes) meeting the neighbours of v (fixed by the child's smaller
 group).  A later root's candidates are cut to the vertices after it in
 the order, which breaks the invariant, so it branches plainly.
 
+Every node also prunes by neighbourhood dominance.  Before branching on v
+it takes v's child candidates pv = p & adj[v]; when some vertex a it has
+already branched on is adjacent to v and to all of pv, v (its class,
+under orbital branching) leaves p with no child.  Each clique of v's
+subtree plus a is then a strictly larger clique inside a's subtree, and
+it stays valid because every constraint is monotone: adding a set to a
+valid clique keeps it valid (the common intersection only shrinks, the
+pairs that miss a side only grow).  a's finished subtree has raised the
+incumbent to at least that size, so v's subtree can neither beat nor tie
+it: the maximum, the witness and when the incumbent changes are the same
+as without the rule.
+
 A plain subset-enumeration oracle, which never looks at the graph, backs
 the solver for small instances.
 """
@@ -307,6 +319,12 @@ class _CliqueSearch:
         some pair of R already misses X1 / X2.  atoms, when not None, are
         R's atoms and p is a union of their orbit classes: after branching
         on v, v's whole class leaves p (orbital branching).
+
+        v is dropped unbranched when an earlier branch a of this node has
+        v and all of v's candidates pv as neighbours: a + v + any clique in
+        pv is a larger clique that a's subtree already covered, and it is
+        valid since the constraints are monotone, so v's subtree holds no
+        clique of the incumbent's size.
         """
         self._tick()
         if not p:
@@ -328,26 +346,33 @@ class _CliqueSearch:
                     return
                 live ^= low
         two_sided = constraint is Constraint.TWO_SIDED
-        adj, masks = self.adj, self.masks
+        adj, masks, nonadj = self.adj, self.masks, self.nonadj
         csize = rsize + 1
         classes = None
+        done = 0  # the vertices this node has branched on
         for v, color in reversed(self._color_order(p, self.best - rsize + 1)):
             if rsize + color <= self.best:
                 return
             bit = 1 << v
             if not p & bit:
                 continue  # in the class of a vertex already branched on
-            child_and = and_all & masks[v]
-            if two_sided:
-                cm1 = miss1 or bool(self.miss1[v] & rbits)
-                cm2 = miss2 or bool(self.miss2[v] & rbits)
-            else:
-                cm1 = cm2 = False
-            child = rbits | bit
-            if csize >= self.best and self._valid(child_and, cm1, cm2):
-                self.offer(csize, tuple(iter_bits(child)))
-            child_atoms = None if atoms is None else _split_atoms(atoms, masks[v])
-            self._expand(child, csize, child_and, cm1, cm2, p & adj[v], child_atoms)
+            pv = p & adj[v]
+            dom = done & adj[v]
+            while dom and pv & nonadj[(dom & -dom).bit_length() - 1]:
+                dom &= dom - 1
+            if not dom:  # no earlier branch a has pv inside adj[a]: branch on v
+                done |= bit
+                child_and = and_all & masks[v]
+                if two_sided:
+                    cm1 = miss1 or bool(self.miss1[v] & rbits)
+                    cm2 = miss2 or bool(self.miss2[v] & rbits)
+                else:
+                    cm1 = cm2 = False
+                child = rbits | bit
+                if csize >= self.best and self._valid(child_and, cm1, cm2):
+                    self.offer(csize, tuple(iter_bits(child)))
+                child_atoms = None if atoms is None else _split_atoms(atoms, masks[v])
+                self._expand(child, csize, child_and, cm1, cm2, pv, child_atoms)
             if atoms is None:
                 p ^= bit
             else:  # v's whole class leaves p

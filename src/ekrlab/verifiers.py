@@ -64,11 +64,11 @@ from .cyclic import (
     J_BASE,
     Rectangle,
     RectFamily,
+    _arc_mask,
     all_intervals,
     find_blocking_pairs,
     interval_distance,
     point_distance,
-    proj_intersecting,
 )
 from .doublecount import weighted_sum_check
 from .families import Universe, iter_bits, mask_of
@@ -376,34 +376,37 @@ def _check_third_rectangle_overlap(params, mode, rng, trials):
     n1, n2, k, l, b = _param(params, "n1", "n2", "k", "l", "b")
     _require(1 <= k <= b and 1 <= l <= b, "k, l <= b")
 
-    i_intervals = all_intervals(n1, k)
-    j_intervals = all_intervals(n2, l)
-    far_pairs = [(i1, i2) for i1, i2 in combinations(i_intervals, 2)
-                 if interval_distance(i1, i2) >= b + 1]
+    def arcs(intervals):  # each interval with the bitset of its elements
+        return [(iv, _arc_mask(iv)) for iv in intervals]
+
+    i_arcs = arcs(all_intervals(n1, k))
+    j_arcs = arcs(all_intervals(n2, l))
+    far_pairs = [(a1, a2) for a1, a2 in combinations(i_arcs, 2)
+                 if interval_distance(a1[0], a2[0]) >= b + 1]
     _require(bool(far_pairs), "some I-interval pair at distance >= b+1 must exist")
-    u_intervals = [iv for s in range(1, b + 1) for iv in all_intervals(n1, s)]
-    v_intervals = [iv for s in range(1, b + 1) for iv in all_intervals(n2, s)]
-    if mode == EXHAUSTIVE and (len(j_intervals) * len(far_pairs) * len(u_intervals)
-                               * len(v_intervals) > EXHAUSTIVE_CAP):
+    u_arcs = arcs(iv for s in range(1, b + 1) for iv in all_intervals(n1, s))
+    v_arcs = arcs(iv for s in range(1, b + 1) for iv in all_intervals(n2, s))
+    if mode == EXHAUSTIVE and (len(j_arcs) * len(far_pairs) * len(u_arcs)
+                               * len(v_arcs) > EXHAUSTIVE_CAP):
         raise InfeasibleExhaustive("too many triples; use sampled mode")
     # a blocking pair is its two rectangles sharing the base j0
-    pairs = [(Rectangle(i1, j0), Rectangle(i2, j0)) for j0 in j_intervals for i1, i2 in far_pairs]
-    thirds = [Rectangle(uu, vv) for uu in u_intervals for vv in v_intervals]
+    pairs = [(j0, a1, a2) for j0 in j_arcs for a1, a2 in far_pairs]
+    thirds = list(product(u_arcs, v_arcs))
 
     def draw(rng):
-        j0 = rng.choice(j_intervals)
-        i1, i2 = rng.choice(far_pairs)
-        third = Rectangle(rng.choice(u_intervals), rng.choice(v_intervals))
-        return (Rectangle(i1, j0), Rectangle(i2, j0)), third
+        j0 = rng.choice(j_arcs)
+        a1, a2 = rng.choice(far_pairs)
+        return (j0, a1, a2), (rng.choice(u_arcs), rng.choice(v_arcs))
 
     def test(instance):
-        (r1, r2), third = instance
-        if not (proj_intersecting(r1, third) and proj_intersecting(r2, third)):
-            return None
-        if r1.j.overlaps(third.j):
+        ((j0, mj), (i1, m1), (i2, m2)), ((uu, mu), (vv, mv)) = instance
+        if mj & mv:  # the third meets the shared base, so it proj-intersects both
             return True
-        return {"base": (r1.j.start, r1.j.length), "pair": _rect_json([r1, r2]),
-                "third": (third.i.start, third.i.length, third.j.start, third.j.length)}
+        if not (m1 & mu and m2 & mu):
+            return None
+        return {"base": (j0.start, j0.length),
+                "pair": _rect_json([Rectangle(i1, j0), Rectangle(i2, j0)]),
+                "third": (uu.start, uu.length, vv.start, vv.length)}
 
     return _drive(mode, rng, trials, product(pairs, thirds), draw, test)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -84,6 +85,18 @@ def _random_instance(rng, max_vertices=14):
             return u, profiles, rng.choice(constraints)
 
 
+def _profile_lists(max_n, constraint):
+    """Every one- and two-profile list on Universe(n1, n2), 1 <= n1 <= max_n, n2 <= max_n."""
+    for n1, n2 in itertools.product(range(1, max_n + 1), range(max_n + 1)):
+        u = Universe(n1, n2)
+        if constraint is Constraint.TWO_SIDED and not u.two_part:
+            continue
+        profs = [(k, l) for k in range(1, n1 + 1) for l in range(min(n2, 1), n2 + 1)]
+        for size in (1, 2):
+            for profiles in itertools.combinations(profs, size):
+                yield u, profiles
+
+
 class TestOracleEquivalence:
     def test_fifty_seeded_instances(self):
         rng = random.Random(20240817)
@@ -97,6 +110,23 @@ class TestOracleEquivalence:
             per_constraint[constraint] += 1
             _check_witness(result, u, profiles, constraint)
         assert all(n > 0 for n in per_constraint.values())
+
+    @pytest.mark.parametrize("constraint", list(Constraint), ids=lambda c: c.value)
+    def test_every_small_profile_list(self, constraint):
+        # every list with n1, n2 <= 5 and at most 12 candidates, with and
+        # without symmetry: the dominance and orbital prunes never lose the maximum
+        runs = 0
+        for u, profiles in _profile_lists(5, constraint):
+            if sum(comb(u.n1, k) * comb(u.n2, l) for k, l in profiles) > 12:
+                continue
+            want = exhaustive_oracle(u, profiles, constraint)
+            for symmetry in (False, True):
+                r = max_intersecting(u, profiles, constraint, symmetry=symmetry)
+                assert r.proven_optimal
+                assert r.max_size == want, (u, profiles, symmetry)
+                _check_witness(r, u, profiles, constraint)
+                runs += 1
+        assert runs > 500
 
     def test_mixed_profile_instance(self):
         u = Universe(3, 3)
@@ -166,23 +196,22 @@ class TestSolver:
 
     @pytest.mark.parametrize("constraint", list(Constraint), ids=lambda c: c.value)
     def test_symmetry_keeps_every_small_maximum(self, constraint):
-        # every one- and two-profile list with n1, n2 <= 4; two-sided search
-        # without a seed is far slower, so its lists stop at n1 + n2 <= 7
-        # (one profile) and 6 (two): (4,4){(2,3)} alone takes ~16M plain nodes
-        for n1, n2 in itertools.product(range(1, 5), range(5)):
-            u = Universe(n1, n2)
-            if constraint is Constraint.TWO_SIDED and not u.two_part:
-                continue
-            profs = [(k, l) for k in range(1, n1 + 1) for l in range(min(n2, 1), n2 + 1)]
-            for size in (1, 2):
-                if constraint is Constraint.TWO_SIDED and n1 + n2 > 8 - size:
-                    continue
-                for profiles in itertools.combinations(profs, size):
-                    plain = max_intersecting(u, profiles, constraint)
-                    pruned = max_intersecting(u, profiles, constraint, symmetry=True)
-                    assert plain.proven_optimal and pruned.proven_optimal
-                    assert pruned.max_size == plain.max_size, (n1, n2, profiles)
-                    _check_witness(pruned, u, profiles, constraint)
+        for u, profiles in _profile_lists(4, constraint):
+            plain = max_intersecting(u, profiles, constraint)
+            pruned = max_intersecting(u, profiles, constraint, symmetry=True)
+            assert plain.proven_optimal and pruned.proven_optimal
+            assert pruned.max_size == plain.max_size, (u, profiles)
+            _check_witness(pruned, u, profiles, constraint)
+
+    @pytest.mark.parametrize("profile", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("symmetry", [False, True])
+    def test_two_sided_proves_an_empty_cell(self, profile, symmetry):
+        # any two (2,3)-sets of (4,4) share an X2 element (3 + 3 > 4), and any
+        # two (3,2)-sets an X1 element, so no family is two-sided
+        r = max_intersecting(Universe(4, 4), [profile], Constraint.TWO_SIDED, symmetry=symmetry)
+        assert r.proven_optimal
+        assert r.max_size == 0
+        assert r.nodes < 1000
 
     def test_node_budget_returns_incumbent(self):
         r = max_intersecting(Universe(4, 4), [(2, 2)], budget=SearchBudget(node_limit=10))

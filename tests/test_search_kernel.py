@@ -4,21 +4,26 @@ The pinned node counts, maxima and witnesses were recorded from the
 pair-loop kernel that preceded the bitset rows, so any change to the tree
 the search visits (order, colouring, prunes, tie-breaks) shows up here.
 The symmetry-on hunt cells were re-pinned when orbital branching below
-the first root came in: their node counts fell, their maxima and
-witnesses did not change.  Witnesses are pinned by a digest of their
-canonical JSON lists.
+the first root came in, and again when neighbourhood-dominance pruning
+came in: each time their node counts fell, their maxima and witnesses
+did not change.  The maxima and witnesses of all 72 default-grid cells
+were recorded before dominance pruning and hold it to the same answers.
+Witnesses are pinned by a digest of their canonical JSON lists.
 """
 
 import hashlib
+import itertools
 import json
+import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ekrlab.conjectures import best_construction, max_cross_intersecting
+from ekrlab.conjectures import ParameterGrid, best_construction, max_cross_intersecting
 from ekrlab.families import Universe
 from ekrlab.search import (
+    CompatibilityGraph,
     Constraint,
     SearchBudget,
     _CliqueSearch,
@@ -38,15 +43,92 @@ def _digest(result) -> str:
 
 # (conjecture, n1, n2, k, l) -> (nodes, max_size, witness digest)
 HUNT_CELLS = {
-    (1, 4, 5, 2, 2): (664, 30, "846f0f29f12dfc40"),
+    (1, 4, 5, 2, 2): (431, 30, "846f0f29f12dfc40"),
     (1, 5, 4, 2, 2): (71, 30, "a8a8b5ff0b9b441f"),
-    (1, 5, 5, 2, 1): (327, 15, "dee07ee1c96f6d75"),
-    (1, 5, 5, 2, 2): (42046, 35, "596cf30760cc8af0"),
-    (2, 4, 5, 2, 2): (4442, 28, "b7c72fb21f767130"),
-    (2, 5, 4, 2, 2): (739, 28, "aca5595b6f6c9377"),
-    (2, 5, 5, 2, 1): (777, 13, "b47238f5d20e8fe3"),
-    (2, 5, 5, 2, 2): (42046, 35, "596cf30760cc8af0"),
+    (1, 5, 5, 2, 1): (35, 15, "dee07ee1c96f6d75"),
+    (1, 5, 5, 2, 2): (7598, 35, "596cf30760cc8af0"),
+    (2, 4, 5, 2, 2): (2062, 28, "b7c72fb21f767130"),
+    (2, 5, 4, 2, 2): (600, 28, "aca5595b6f6c9377"),
+    (2, 5, 5, 2, 1): (61, 13, "b47238f5d20e8fe3"),
+    (2, 5, 5, 2, 2): (7598, 35, "596cf30760cc8af0"),
 }
+
+# every default-grid cell as hunt searches it: conjecture n1 n2 k l, max_size,
+# witness digest; every cell is proven
+GRID_PINS = """
+    1 2 2 1 1  0 4f53cda18c2baa0c
+    1 2 3 1 1  0 4f53cda18c2baa0c
+    1 2 4 1 1  0 4f53cda18c2baa0c
+    1 2 4 1 2  6 e3bd983b5430e610
+    1 2 5 1 1  0 4f53cda18c2baa0c
+    1 2 5 1 2  8 aa099d993402c241
+    1 3 2 1 1  0 4f53cda18c2baa0c
+    1 3 3 1 1  0 4f53cda18c2baa0c
+    1 3 4 1 1  0 4f53cda18c2baa0c
+    1 3 4 1 2  9 a8e085b41298eb66
+    1 3 5 1 1  0 4f53cda18c2baa0c
+    1 3 5 1 2  9 a8e085b41298eb66
+    1 4 2 1 1  0 4f53cda18c2baa0c
+    1 4 2 2 1  6 1cd86276272b7010
+    1 4 3 1 1  0 4f53cda18c2baa0c
+    1 4 3 2 1  9 c87afda3b0b62bb5
+    1 4 4 1 1  0 4f53cda18c2baa0c
+    1 4 4 1 2 12 6bba47e048313a24
+    1 4 4 2 1 12 3d99c505362abe2d
+    1 4 4 2 2 18 0e013148d10a7c51
+    1 4 5 1 1  0 4f53cda18c2baa0c
+    1 4 5 1 2 12 6bba47e048313a24
+    1 4 5 2 1 15 ec37a2d6b972b537
+    1 4 5 2 2 30 846f0f29f12dfc40
+    1 5 2 1 1  0 4f53cda18c2baa0c
+    1 5 2 2 1  8 daf821a04bb517e9
+    1 5 3 1 1  0 4f53cda18c2baa0c
+    1 5 3 2 1  9 0f0493e419190015
+    1 5 4 1 1  0 4f53cda18c2baa0c
+    1 5 4 1 2 15 39709cb214990106
+    1 5 4 2 1 12 39bb585d1a27e754
+    1 5 4 2 2 30 a8a8b5ff0b9b441f
+    1 5 5 1 1  0 4f53cda18c2baa0c
+    1 5 5 1 2 15 39709cb214990106
+    1 5 5 2 1 15 dee07ee1c96f6d75
+    1 5 5 2 2 35 596cf30760cc8af0
+    2 2 2 1 1  0 4f53cda18c2baa0c
+    2 2 3 1 1  0 4f53cda18c2baa0c
+    2 2 4 1 1  0 4f53cda18c2baa0c
+    2 2 4 1 2  6 eb5d2e4bb188a795
+    2 2 5 1 1  0 4f53cda18c2baa0c
+    2 2 5 1 2  8 3fc99c2c8a0ebbc2
+    2 3 2 1 1  0 4f53cda18c2baa0c
+    2 3 3 1 1  0 4f53cda18c2baa0c
+    2 3 4 1 1  0 4f53cda18c2baa0c
+    2 3 4 1 2  8 c699a1e793143268
+    2 3 5 1 1  0 4f53cda18c2baa0c
+    2 3 5 1 2  9 17bd5e701f883c81
+    2 4 2 1 1  0 4f53cda18c2baa0c
+    2 4 2 2 1  6 951fe3015f8837e7
+    2 4 3 1 1  0 4f53cda18c2baa0c
+    2 4 3 2 1  8 91b359e70957db3b
+    2 4 4 1 1  0 4f53cda18c2baa0c
+    2 4 4 1 2 10 d22f2daeb8972773
+    2 4 4 2 1 10 de9cd1608f5dc047
+    2 4 4 2 2 18 2e8f487f1fd670d7
+    2 4 5 1 1  0 4f53cda18c2baa0c
+    2 4 5 1 2 11 5aac398e3055e1d7
+    2 4 5 2 1 12 cd7de91739eddcda
+    2 4 5 2 2 28 b7c72fb21f767130
+    2 5 2 1 1  0 4f53cda18c2baa0c
+    2 5 2 2 1  8 ee7077df3793b080
+    2 5 3 1 1  0 4f53cda18c2baa0c
+    2 5 3 2 1  9 16be367a4d0d8ef4
+    2 5 4 1 1  0 4f53cda18c2baa0c
+    2 5 4 1 2 12 9a4a6382602074be
+    2 5 4 2 1 11 2e478d93ab6c3b92
+    2 5 4 2 2 28 aca5595b6f6c9377
+    2 5 5 1 1  0 4f53cda18c2baa0c
+    2 5 5 1 2 13 70d5af419177b5c2
+    2 5 5 2 1 13 b47238f5d20e8fe3
+    2 5 5 2 2 35 596cf30760cc8af0
+"""
 
 # (constraint, symmetry) -> (nodes, max_size, witness digest) at (4,4),(2,2)
 SMALL_CELL = {
@@ -70,6 +152,22 @@ class TestPinnedTree:
         assert r.proven_optimal
         assert (r.nodes, r.max_size, _digest(r)) == HUNT_CELLS[key]
 
+    @pytest.mark.parametrize("conjecture", [1, 2])
+    def test_default_grid_maxima_and_witnesses(self, conjecture):
+        want = {}
+        for line in GRID_PINS.strip().splitlines():
+            c, n1, n2, k, l, size, digest = line.split()
+            if int(c) == conjecture:
+                want[int(n1), int(n2), int(k), int(l)] = (int(size), True, digest)
+        constraint = Constraint.NONTRIVIAL if conjecture == 1 else Constraint.TWO_SIDED
+        got = {}
+        for n1, n2, k, l in ParameterGrid.default().cells:
+            u = Universe(n1, n2)
+            seed = best_construction(conjecture, u, (k, l))
+            r = max_intersecting(u, [(k, l)], constraint, seed=seed, symmetry=True)
+            got[n1, n2, k, l] = (r.max_size, r.proven_optimal, _digest(r))
+        assert got == want
+
     @pytest.mark.parametrize("key", sorted(SMALL_CELL, key=lambda k: (k[0].value, k[1])))
     def test_small_cell(self, key):
         constraint, symmetry = key
@@ -82,7 +180,7 @@ class TestPinnedTree:
         r = max_intersecting(Universe(4, 4), [(1, 2), (2, 1)], Constraint.NONTRIVIAL,
                              symmetry=True)
         assert r.proven_optimal
-        assert (r.nodes, r.max_size, _digest(r)) == (319, 14, "eb19fb6df19c373c")
+        assert (r.nodes, r.max_size, _digest(r)) == (188, 14, "eb19fb6df19c373c")
 
     def test_wide_any(self):
         r = max_intersecting(Universe(8, 8), [(2, 2)])
@@ -162,6 +260,38 @@ class TestRows:
                 want = sum(1 << w for w, b in enumerate(g.vertices)
                            if g.adjacency[v] >> w & 1 and not a & b & side)
                 assert rows[v] == want
+
+
+def _max_clique(adj, p, size=0, best=0):
+    """Reference maximum clique over candidates p: plain recursion, size bound only."""
+    while p and size + p.bit_count() > best:
+        v = p.bit_length() - 1
+        p ^= 1 << v
+        best = _max_clique(adj, p & adj[v], size + 1, best)
+    return max(best, size)
+
+
+class TestDominance:
+    def test_branching_finds_every_maximum_clique(self):
+        # random graphs of every density, not only intersection graphs,
+        # searched from the empty clique so that one node branches over the
+        # whole graph: the dominance rule may drop v only when a single
+        # earlier branch covers all of v's candidates
+        rng = random.Random(20261018)
+        for _ in range(4000):
+            m, density = rng.randint(2, 24), rng.random()
+            adj = [0] * m
+            for i, j in itertools.combinations(range(m), 2):
+                if rng.random() < density:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            everyone = (1 << m) - 1
+            g = CompatibilityGraph(Universe(1, 0), ((),), (0,) * m, tuple(adj))
+            s = _CliqueSearch(g, Constraint.ANY, None, False, time.perf_counter())
+            s._expand(0, 0, 0, False, False, everyone, None)
+            assert s.best == _max_clique(adj, everyone), adj
+            for i, v in enumerate(s.best_witness):
+                assert all(adj[v] >> w & 1 for w in s.best_witness[i + 1:])
 
 
 def _swap_bits(mask, a, b):
