@@ -156,7 +156,7 @@ def _budget_from(args) -> SearchBudget | None:
     tl = getattr(args, "time_limit_ms", None)
     if node_limit is None and tl is None:
         return None
-    return SearchBudget(node_limit, tl / 1000.0 if tl else None)
+    return SearchBudget(node_limit, tl / 1000.0 if tl is not None else None)
 
 
 def cmd_search_max(args) -> int:

@@ -426,6 +426,7 @@ class ParameterGrid:
         for c in self.cells:
             if 2 * c.k > c.n1 or 2 * c.l > c.n2:
                 raise ValueError(f"cell {c} violates 2k <= n1, 2l <= n2")
+        SearchBudget(self.node_limit, self.time_limit_s)  # rejects zero and negative limits
 
     @classmethod
     def default(cls, max_n: int = 5, max_k: int = 2) -> "ParameterGrid":
@@ -442,7 +443,7 @@ class ParameterGrid:
     def from_json(cls, data: dict) -> "ParameterGrid":
         node_limit = data.get("node_limit")
         tl = data.get("time_limit_ms")
-        time_limit_s = tl / 1000.0 if tl else None
+        time_limit_s = tl / 1000.0 if tl is not None else None
         if "cells" in data:
             cells = tuple(GridCell(*c) for c in data["cells"])
         else:
@@ -512,12 +513,12 @@ def evaluate_cell(conjecture: int, cell: GridCell, node_limit: int | None = None
     p = Profile(cell.k, cell.l)
     constraint = Constraint.NONTRIVIAL if conjecture == 1 else Constraint.TWO_SIDED
     bound_fn = nontrivial_bound if conjecture == 1 else two_sided_bound
+    budget = None  # a bad budget is the caller's error, not the cell's: it raises
+    if node_limit is not None or time_limit_s is not None:
+        budget = SearchBudget(node_limit, time_limit_s)
     try:
         bound = bound_fn(u, p)
         seed = best_construction(conjecture, u, p)
-        budget = None
-        if node_limit or time_limit_s:
-            budget = SearchBudget(node_limit, time_limit_s)
         result = max_intersecting(u, [p], constraint, budget, seed=seed, symmetry=True)
         csize = len(seed) if seed is not None else 0
         witness = None
@@ -556,16 +557,33 @@ class HuntReport:
 
 
 def _read_completed(jsonl_path: str, conjecture: int) -> dict[GridCell, dict]:
+    """The finished cells of a JSON-lines file, by their last record.
+
+    A sweep killed mid-write leaves an unterminated last line.  When it does
+    not parse it is the cell in flight: it is cut from the file, so the next
+    record starts on a fresh line, and the cell runs again.  When it parses
+    it counts, and gets its newline.  A malformed line anywhere else raises.
+    """
     done = {}
     if os.path.exists(jsonl_path):
-        with open(jsonl_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if rec.get("conjecture") == conjecture:
-                    done[GridCell(rec["n1"], rec["n2"], rec["k"], rec["l"])] = rec
+        with open(jsonl_path, "rb+") as fh:
+            lines = fh.read().split(b"\n")
+            tail = lines[-1]  # empty when the file ends with a newline
+            if tail.strip():
+                try:
+                    json.loads(tail)
+                except ValueError:
+                    fh.truncate(fh.tell() - len(tail))
+                    lines.pop()
+                else:
+                    fh.write(b"\n")
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            rec = json.loads(line)
+            if rec.get("conjecture") == conjecture:
+                done[GridCell(rec["n1"], rec["n2"], rec["k"], rec["l"])] = rec
     # a cell's last record counts; an error there leaves the cell pending
     return {c: rec for c, rec in done.items() if rec["status"] != CELL_ERROR}
 

@@ -35,16 +35,20 @@ group).  A later root's candidates are cut to the vertices after it in
 the order, which breaks the invariant, so it branches plainly.
 
 Every node also prunes by neighbourhood dominance.  Before branching on v
-it takes v's child candidates pv = p & adj[v]; when some vertex a it has
-already branched on is adjacent to v and to all of pv, v (its class,
-under orbital branching) leaves p with no child.  Each clique of v's
-subtree plus a is then a strictly larger clique inside a's subtree, and
-it stays valid because every constraint is monotone: adding a set to a
-valid clique keeps it valid (the common intersection only shrinks, the
-pairs that miss a side only grow).  a's finished subtree has raised the
-incumbent to at least that size, so v's subtree can neither beat nor tie
-it: the maximum, the witness and when the incumbent changes are the same
-as without the rule.
+it takes v's child candidates pv = p & adj[v]; when some vertex a that was
+branched on earlier is adjacent to v and to all of pv, v (its class,
+under orbital branching) leaves p with no child.  a may have been branched
+on at this node or at an ancestor A, before the branch that leads here:
+each node carries the set of such vertices down, and a child keeps a only
+while a is adjacent to every vertex added since A, so every clique of this
+node plus a lies in a's subtree at A.  Each clique of v's subtree plus a
+is then a strictly larger clique inside a's subtree, and it stays valid
+because every constraint is monotone: adding a set to a valid clique
+keeps it valid (the common intersection only shrinks, the pairs that miss
+a side only grow).  a's finished subtree has raised the incumbent to at
+least that size, so v's subtree can neither beat nor tie it: the maximum,
+the witness and when the incumbent changes are the same as without the
+rule.
 
 A plain subset-enumeration oracle, which never looks at the graph, backs
 the solver for small instances.
@@ -312,7 +316,7 @@ class _CliqueSearch:
         return order
 
     def _expand(self, rbits: int, rsize: int, and_all: int, miss1: bool, miss2: bool,
-                p: int, atoms) -> None:
+                p: int, atoms, above: int = 0) -> None:
         """Branch on the candidates p of the clique R (bitset rbits, rsize members).
 
         and_all is the intersection of R's sets; miss1 / miss2 record that
@@ -320,11 +324,15 @@ class _CliqueSearch:
         R's atoms and p is a union of their orbit classes: after branching
         on v, v's whole class leaves p (orbital branching).
 
-        v is dropped unbranched when an earlier branch a of this node has
-        v and all of v's candidates pv as neighbours: a + v + any clique in
-        pv is a larger clique that a's subtree already covered, and it is
-        valid since the constraints are monotone, so v's subtree holds no
-        clique of the incumbent's size.
+        above holds the vertices that ancestors branched on before the
+        branch that leads here and that are adjacent to every vertex added
+        since.  v is dropped unbranched when an earlier branch a, of this
+        node or in above, has v and all of v's candidates pv as neighbours:
+        R + a + v + any clique in pv is a larger clique that a's subtree
+        already covered, and it is valid since the constraints are
+        monotone, so v's subtree holds no clique of the incumbent's size.
+        v's child inherits the members of above and of this node's earlier
+        branches that are adjacent to v.
         """
         self._tick()
         if not p:
@@ -357,7 +365,7 @@ class _CliqueSearch:
             if not p & bit:
                 continue  # in the class of a vertex already branched on
             pv = p & adj[v]
-            dom = done & adj[v]
+            dom = carry = (above | done) & adj[v]
             while dom and pv & nonadj[(dom & -dom).bit_length() - 1]:
                 dom &= dom - 1
             if not dom:  # no earlier branch a has pv inside adj[a]: branch on v
@@ -372,7 +380,7 @@ class _CliqueSearch:
                 if csize >= self.best and self._valid(child_and, cm1, cm2):
                     self.offer(csize, tuple(iter_bits(child)))
                 child_atoms = None if atoms is None else _split_atoms(atoms, masks[v])
-                self._expand(child, csize, child_and, cm1, cm2, pv, child_atoms)
+                self._expand(child, csize, child_and, cm1, cm2, pv, child_atoms, carry)
             if atoms is None:
                 p ^= bit
             else:  # v's whole class leaves p

@@ -95,6 +95,15 @@ class TestSearchCommand:
         assert data["proven_optimal"] is False
         assert data["max_size"] >= 1
 
+    @pytest.mark.parametrize("flag,value", [("--time-limit-ms", "0"), ("--time-limit-ms", "-5"),
+                                            ("--node-limit", "0"), ("--node-limit", "-1")])
+    def test_budget_must_be_positive(self, capsys, flag, value):
+        # zero is not "no budget": it is rejected like a negative value
+        code, out, err = run_cli(capsys, "search-max", "--n1", "4", "--n2", "4",
+                                 "--profiles", "2,2", flag, value)
+        assert code == 2
+        assert out == "" and "must be positive" in err
+
     def test_deterministic_output_excluding_elapsed(self, capsys):
         args = ("search-max", "--n1", "4", "--n2", "4", "--profiles", "2,2",
                 "--format", "json")
@@ -229,6 +238,16 @@ class TestHuntCommand:
                                "--grid", str(grid), "--out", str(tmp_path))
         assert code == 1
         assert "counterexample" in out
+
+    @pytest.mark.parametrize("budget", [{"node_limit": 0}, {"time_limit_ms": 0},
+                                        {"time_limit_ms": -5}])
+    def test_grid_budget_must_be_positive(self, capsys, tmp_path, budget):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"cells": [[2, 2, 1, 1]], **budget}))
+        code, _, err = run_cli(capsys, "hunt", "--conjecture", "1",
+                               "--grid", str(grid), "--out", str(tmp_path / "reports"))
+        assert code == 2 and "must be positive" in err
+        assert not (tmp_path / "reports").exists()
 
     def test_bad_conjecture_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "hunt", "--conjecture", "3",

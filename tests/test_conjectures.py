@@ -227,8 +227,28 @@ class TestGrid:
         with pytest.raises(ValueError):
             ParameterGrid.from_json({"cells": [[3, 4, 2, 2]]})
 
+    @pytest.mark.parametrize("budget", [{"node_limit": 0}, {"node_limit": -3},
+                                        {"time_limit_ms": 0}, {"time_limit_ms": -5}])
+    def test_zero_or_negative_budget_rejected(self, budget):
+        # a zero limit once meant "no budget" and swept unbounded
+        with pytest.raises(ValueError, match="must be positive"):
+            ParameterGrid.from_json({"cells": [[4, 4, 2, 2]], **budget})
+
+    @pytest.mark.parametrize("budget", [{"node_limit": 0}, {"time_limit_s": 0.0},
+                                        {"time_limit_s": -1.0}])
+    def test_grid_fields_must_be_positive(self, budget):
+        with pytest.raises(ValueError, match="must be positive"):
+            ParameterGrid((GridCell(4, 4, 2, 2),), **budget)
+
 
 class TestEvaluateCell:
+    @pytest.mark.parametrize("budget", [{"node_limit": 0}, {"time_limit_s": 0.0},
+                                        {"node_limit": -1}])
+    def test_zero_or_negative_budget_raises(self, budget):
+        # a caller error, not a cell error: it is not recorded as an "error" cell
+        with pytest.raises(ValueError, match="must be positive"):
+            evaluate_cell(1, GridCell(4, 4, 2, 2), **budget)
+
     def test_conjecture1_reference_cell(self):
         res = evaluate_cell(1, GridCell(4, 4, 2, 2))
         assert res.status == CONFIRMED
@@ -392,6 +412,48 @@ class TestHuntPersistence:
         assert summary(resumed) == summary(fresh)
         lines = [json.loads(line) for line in open(jsonl)]
         assert [(r["n1"], r["n2"], r["k"], r["l"]) for r in lines] == list(grid.cells)
+
+    def test_resume_reruns_a_truncated_last_record(self, tmp_path):
+        # a sweep killed mid-write leaves half a line: that cell runs again
+        grid = self._small_grid()
+        fresh = hunt(grid, 1, str(tmp_path / "fresh.jsonl"))
+        jsonl = tmp_path / "hunt.jsonl"
+        hunt(ParameterGrid(grid.cells[:2]), 1, str(jsonl))
+        with open(jsonl, "a", encoding="utf-8") as fh:
+            fh.write('{"conjecture": 1, "n1": 2, "n')
+        resumed = hunt(grid, 1, str(jsonl), resume=True)
+        assert [(c.cell, c.found_max, c.status, c.nodes) for c in resumed.cells] == \
+            [(c.cell, c.found_max, c.status, c.nodes) for c in fresh.cells]
+        text = jsonl.read_text()
+        assert text.endswith("\n")
+        lines = [json.loads(line) for line in text.splitlines()]
+        assert [(r["n1"], r["n2"], r["k"], r["l"]) for r in lines] == list(grid.cells)
+
+    def test_resume_keeps_an_unterminated_complete_record(self, tmp_path):
+        grid = self._small_grid()
+        jsonl = tmp_path / "hunt.jsonl"
+        first = hunt(ParameterGrid(grid.cells[:2]), 1, str(jsonl))
+        jsonl.write_text(jsonl.read_text().rstrip("\n"))
+        resumed = hunt(grid, 1, str(jsonl), resume=True)
+        assert [c.nodes for c in resumed.cells[:2]] == [c.nodes for c in first.cells]
+        lines = [json.loads(line) for line in jsonl.read_text().splitlines()]
+        assert [(r["n1"], r["n2"], r["k"], r["l"]) for r in lines] == list(grid.cells)
+
+    @pytest.mark.parametrize("where", ["inner", "terminated last"])
+    def test_resume_raises_on_a_malformed_record(self, tmp_path, where):
+        grid = self._small_grid()
+        jsonl = tmp_path / "hunt.jsonl"
+        hunt(ParameterGrid(grid.cells[:2]), 1, str(jsonl))
+        lines = jsonl.read_text().splitlines()
+        if where == "inner":
+            lines[0] = lines[0][:20]
+        else:
+            lines.append('{"conjecture": 1, "n1": 2, "n')
+        text = "\n".join(lines) + "\n"
+        jsonl.write_text(text)
+        with pytest.raises(json.JSONDecodeError):
+            hunt(grid, 1, str(jsonl), resume=True)
+        assert jsonl.read_text() == text
 
     def test_parallel_workers_match_serial(self, tmp_path):
         grid = self._small_grid()

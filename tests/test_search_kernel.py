@@ -4,10 +4,11 @@ The pinned node counts, maxima and witnesses were recorded from the
 pair-loop kernel that preceded the bitset rows, so any change to the tree
 the search visits (order, colouring, prunes, tie-breaks) shows up here.
 The symmetry-on hunt cells were re-pinned when orbital branching below
-the first root came in, and again when neighbourhood-dominance pruning
-came in: each time their node counts fell, their maxima and witnesses
-did not change.  The maxima and witnesses of all 72 default-grid cells
-were recorded before dominance pruning and hold it to the same answers.
+the first root came in, when neighbourhood-dominance pruning came in, and
+when that rule was extended to vertices branched at ancestors: each time
+their node counts fell, their maxima and witnesses did not change.  The
+maxima and witnesses of all 72 default-grid cells were recorded before
+dominance pruning and hold it to the same answers.
 Witnesses are pinned by a digest of their canonical JSON lists.
 """
 
@@ -43,15 +44,24 @@ def _digest(result) -> str:
 
 # (conjecture, n1, n2, k, l) -> (nodes, max_size, witness digest)
 HUNT_CELLS = {
-    (1, 4, 5, 2, 2): (431, 30, "846f0f29f12dfc40"),
+    (1, 4, 5, 2, 2): (292, 30, "846f0f29f12dfc40"),
     (1, 5, 4, 2, 2): (71, 30, "a8a8b5ff0b9b441f"),
-    (1, 5, 5, 2, 1): (35, 15, "dee07ee1c96f6d75"),
-    (1, 5, 5, 2, 2): (7598, 35, "596cf30760cc8af0"),
-    (2, 4, 5, 2, 2): (2062, 28, "b7c72fb21f767130"),
-    (2, 5, 4, 2, 2): (600, 28, "aca5595b6f6c9377"),
-    (2, 5, 5, 2, 1): (61, 13, "b47238f5d20e8fe3"),
-    (2, 5, 5, 2, 2): (7598, 35, "596cf30760cc8af0"),
+    (1, 5, 5, 2, 1): (25, 15, "dee07ee1c96f6d75"),
+    (1, 5, 5, 2, 2): (2394, 35, "596cf30760cc8af0"),
+    (2, 4, 5, 2, 2): (928, 28, "b7c72fb21f767130"),
+    (2, 5, 4, 2, 2): (513, 28, "aca5595b6f6c9377"),
+    (2, 5, 5, 2, 1): (39, 13, "b47238f5d20e8fe3"),
+    (2, 5, 5, 2, 2): (2394, 35, "596cf30760cc8af0"),
 }
+
+
+def _hunt_search(conjecture, n1, n2, k, l):
+    """One cell searched the way hunt searches it."""
+    u = Universe(n1, n2)
+    constraint = Constraint.NONTRIVIAL if conjecture == 1 else Constraint.TWO_SIDED
+    seed = best_construction(conjecture, u, (k, l))
+    return max_intersecting(u, [(k, l)], constraint, seed=seed, symmetry=True)
+
 
 # every default-grid cell as hunt searches it: conjecture n1 n2 k l, max_size,
 # witness digest; every cell is proven
@@ -144,13 +154,17 @@ SMALL_CELL = {
 class TestPinnedTree:
     @pytest.mark.parametrize("key", sorted(HUNT_CELLS))
     def test_hunt_cell(self, key):
-        conjecture, n1, n2, k, l = key
-        u = Universe(n1, n2)
-        constraint = Constraint.NONTRIVIAL if conjecture == 1 else Constraint.TWO_SIDED
-        seed = best_construction(conjecture, u, (k, l))
-        r = max_intersecting(u, [(k, l)], constraint, seed=seed, symmetry=True)
+        r = _hunt_search(*key)
         assert r.proven_optimal
         assert (r.nodes, r.max_size, _digest(r)) == HUNT_CELLS[key]
+
+    @pytest.mark.parametrize("conjecture,nodes", [(1, 19809), (2, 19842)])
+    def test_six_five_cell_is_proven(self, conjecture, nodes):
+        # a counterexample cell beyond the default grid: ancestor dominance
+        # proves it, sibling-only dominance took 680,671 / 680,704 nodes
+        r = _hunt_search(conjecture, 6, 5, 2, 2)
+        assert r.proven_optimal
+        assert (r.nodes, r.max_size, _digest(r)) == (nodes, 49, "00f7b048b99eebb2")
 
     @pytest.mark.parametrize("conjecture", [1, 2])
     def test_default_grid_maxima_and_witnesses(self, conjecture):
@@ -159,12 +173,9 @@ class TestPinnedTree:
             c, n1, n2, k, l, size, digest = line.split()
             if int(c) == conjecture:
                 want[int(n1), int(n2), int(k), int(l)] = (int(size), True, digest)
-        constraint = Constraint.NONTRIVIAL if conjecture == 1 else Constraint.TWO_SIDED
         got = {}
         for n1, n2, k, l in ParameterGrid.default().cells:
-            u = Universe(n1, n2)
-            seed = best_construction(conjecture, u, (k, l))
-            r = max_intersecting(u, [(k, l)], constraint, seed=seed, symmetry=True)
+            r = _hunt_search(conjecture, n1, n2, k, l)
             got[n1, n2, k, l] = (r.max_size, r.proven_optimal, _digest(r))
         assert got == want
 
@@ -180,7 +191,7 @@ class TestPinnedTree:
         r = max_intersecting(Universe(4, 4), [(1, 2), (2, 1)], Constraint.NONTRIVIAL,
                              symmetry=True)
         assert r.proven_optimal
-        assert (r.nodes, r.max_size, _digest(r)) == (188, 14, "eb19fb6df19c373c")
+        assert (r.nodes, r.max_size, _digest(r)) == (131, 14, "eb19fb6df19c373c")
 
     def test_wide_any(self):
         r = max_intersecting(Universe(8, 8), [(2, 2)])
@@ -205,13 +216,18 @@ def _naive_degeneracy_order(adj):
 
 @st.composite
 def graphs(draw):
+    """Graphs of every density: each pair is an edge with a drawn probability.
+
+    A drawn edge list would stay short, so dense graphs would be rare.
+    """
     m = draw(st.integers(0, 24))
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    density = draw(st.floats(0, 1))
+    rng = draw(st.randoms(use_true_random=False))
     adj = [0] * m
-    for i, j in edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+    for i, j in itertools.combinations(range(m), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     return tuple(adj)
 
 
@@ -271,6 +287,54 @@ def _max_clique(adj, p, size=0, best=0):
     return max(best, size)
 
 
+class _SiblingOnly(_CliqueSearch):
+    """The kernel before ancestor dominance, on its ANY, no-atoms path.
+
+    v is tested only against the branches made at its own node, and a child
+    starts with no dominating vertices.
+    """
+
+    def _expand(self, rbits, rsize, and_all, miss1, miss2, p, atoms, above=0):
+        self._tick()
+        adj, nonadj = self.adj, self.nonadj
+        done = 0
+        for v, color in reversed(self._color_order(p, self.best - rsize + 1)):
+            if rsize + color <= self.best:
+                return
+            bit = 1 << v
+            pv = p & adj[v]
+            dom = done & adj[v]
+            while dom and pv & nonadj[(dom & -dom).bit_length() - 1]:
+                dom &= dom - 1
+            if not dom:
+                done |= bit
+                child = rbits | bit
+                if rsize + 1 >= self.best:
+                    self.offer(rsize + 1, tuple(iter_bits(child)))
+                self._expand(child, rsize + 1, 0, False, False, pv, None)
+            p ^= bit
+
+
+def _random_graphs(count):
+    """The seeded random graphs of every density of the first dominance test."""
+    rng = random.Random(20261018)
+    for _ in range(count):
+        m, density = rng.randint(2, 24), rng.random()
+        adj = [0] * m
+        for i, j in itertools.combinations(range(m), 2):
+            if rng.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        yield adj
+
+
+def _search_from_empty(cls, adj):
+    g = CompatibilityGraph(Universe(1, 0), ((),), (0,) * len(adj), tuple(adj))
+    s = cls(g, Constraint.ANY, None, False, time.perf_counter())
+    s._expand(0, 0, 0, False, False, (1 << len(adj)) - 1, None)
+    return s
+
+
 class TestDominance:
     def test_branching_finds_every_maximum_clique(self):
         # random graphs of every density, not only intersection graphs,
@@ -292,6 +356,16 @@ class TestDominance:
             assert s.best == _max_clique(adj, everyone), adj
             for i, v in enumerate(s.best_witness):
                 assert all(adj[v] >> w & 1 for w in s.best_witness[i + 1:])
+
+    def test_ancestor_dominance_keeps_maximum_and_witness(self):
+        # carrying ancestors' branches down may only cut subtrees that can
+        # neither beat nor tie the incumbent: the maximum and the
+        # lexicographically first witness are those of sibling-only dominance
+        for adj in _random_graphs(4000):
+            s = _search_from_empty(_CliqueSearch, adj)
+            ref = _search_from_empty(_SiblingOnly, adj)
+            assert (s.best, s.best_witness) == (ref.best, ref.best_witness), adj
+            assert s.nodes <= ref.nodes, adj
 
 
 def _swap_bits(mask, a, b):
