@@ -156,6 +156,8 @@ def _budget_from(args) -> SearchBudget | None:
     tl = getattr(args, "time_limit_ms", None)
     if node_limit is None and tl is None:
         return None
+    if tl is not None and tl <= 0:
+        raise ValueError("--time-limit-ms must be positive")
     return SearchBudget(node_limit, tl / 1000.0 if tl is not None else None)
 
 

@@ -443,6 +443,8 @@ class ParameterGrid:
     def from_json(cls, data: dict) -> "ParameterGrid":
         node_limit = data.get("node_limit")
         tl = data.get("time_limit_ms")
+        if tl is not None and tl <= 0:
+            raise ValueError("time_limit_ms must be positive")
         time_limit_s = tl / 1000.0 if tl is not None else None
         if "cells" in data:
             cells = tuple(GridCell(*c) for c in data["cells"])

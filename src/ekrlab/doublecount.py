@@ -10,26 +10,27 @@ form one, so their axis contributes the whole (n-1)! instead).  Summing
 s(F) over all (pair, rectangle-forming member) incidences therefore
 equals |F| exactly, whether grouped by member or by pair.  A member is a
 rectangle under (c1, c2) exactly when its X1 part is consecutive under c1
-and its X2 part under c2, so the by-pair side tests each part once per
-permutation, keeps one member bitset per permutation and per weight class,
-and counts a pair's members with ANDs.  Everything here is exact rational
-arithmetic; no tolerances anywhere.
+and its X2 part under c2.  The by-pair side therefore looks up each
+permutation's consecutive-run masks (a table built once per n) among the
+members' part masks, keeps one member bitset per permutation and per
+weight class, and counts a pair's members with ANDs.  Everything here is
+exact rational arithmetic; no tolerances anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .cyclic import (
     RectFamily,
-    _consecutive_interval,
     canonical_permutations,
     is_proj_intersecting_family,
     set_to_rectangle,
 )
-from .families import Family, Profile, Universe, iter_bits, normalize_profiles, profile_of
+from .families import Family, Profile, Universe, normalize_profiles, profile_of
 from .bounds import binomial
 
 ENUMERATION_CAP = 6  # (n-1)! pairs per axis stay tiny up to here
@@ -103,17 +104,32 @@ class DoubleCountResult:
         }
 
 
-def _run_bitsets(n: int, parts: list[list[int]]) -> list[int]:
-    """Per canonical permutation of Z_n, the bitset of parts consecutive under it."""
+@cache
+def _run_masks(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per canonical permutation of Z_n, the distinct masks of its consecutive runs.
+
+    Runs of length 1..n-1 at every start, plus the whole cycle (empty when n = 0).
+    """
     out = []
     for c in canonical_permutations(n):
-        pos = c.position_of
-        bits = 0
-        for i, part in enumerate(parts):
-            if _consecutive_interval([pos[e] for e in part], n) is not None:
-                bits |= 1 << i
-        out.append(bits)
-    return out
+        bits = [1 << e for e in c.order * 2]
+        runs = [(1 << n) - 1]
+        for s in range(n):
+            mask = 0
+            for b in bits[s:s + n - 1]:
+                mask |= b
+                runs.append(mask)
+        out.append(tuple(runs))
+    return tuple(out)
+
+
+def _run_bitsets(n: int, parts: list[int]) -> list[int]:
+    """Per canonical permutation of Z_n, the bitset of the part masks consecutive under it."""
+    groups: dict[int, int] = {}  # part mask -> bitset of the parts with that mask
+    for i, mask in enumerate(parts):
+        groups[mask] = groups.get(mask, 0) | 1 << i
+    # disjoint groups under distinct run masks: their sum is their union
+    return [sum(groups.get(mask, 0) for mask in runs) for runs in _run_masks(n)]
 
 
 def double_count_check(f: Family) -> DoubleCountResult:
@@ -145,8 +161,8 @@ def double_count_check(f: Family) -> DoubleCountResult:
     classes: dict[int, int] = {}
     for i, w in enumerate(nums):
         classes[w] = classes.get(w, 0) | 1 << i
-    runs1 = _run_bitsets(u.n1, [list(iter_bits(m & u.x1_mask)) for m in f.sets])
-    runs2 = _run_bitsets(u.n2, [[e - u.n1 for e in iter_bits(m & u.x2_mask)] for m in f.sets])
+    runs1 = _run_bitsets(u.n1, [m & u.x1_mask for m in f.sets])
+    runs2 = _run_bitsets(u.n2, [m >> u.n1 for m in f.sets])
     pair_nums = [
         sum(w * (r1 & r2 & cls).bit_count() for w, cls in classes.items())
         for r1 in runs1

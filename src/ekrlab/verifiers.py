@@ -9,7 +9,9 @@ counterexample list; sampled runs also record how many draws were rejected
 for failing the hypothesis.  Exhaustive runs seed the random weights of
 check c3 with 0, so every mode is reproducible.  Rectangles proj-intersect
 exactly when their I-points in X1 plus J-points in X2 meet, so families
-grow over ``search.meet_rows`` rows.
+grow over ``search.meet_rows`` rows, in a vertex order drawn by
+``random.shuffle``'s Fisher-Yates loop written inline: the same
+``getrandbits`` calls, so each seed still gives the same stream and reports.
 
 The other relation tests also read bitset rows built once per call.  The
 family checks take each rectangle's blocking partners (same J and
@@ -191,11 +193,17 @@ def _sample_family(rng: random.Random, rows: list[int], size_range: tuple[int, i
     m = len(rows)
     target = rng.randint(*size_range)
     order = list(range(m))
-    rng.shuffle(order)
+    getrandbits = rng.getrandbits
+    for i in range(m - 1, 0, -1):  # rng.shuffle(order), same getrandbits calls
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
     chosen: list[int] = []
     cand = (1 << m) - 1
     for v in order:
-        if len(chosen) >= target:
+        if len(chosen) >= target or not cand:
             break
         if cand >> v & 1:
             chosen.append(v)
@@ -551,14 +559,14 @@ def verify_check(check_id: str, params: dict, mode: str = EXHAUSTIVE,
                  seed: int | None = None, trials: int = 1000) -> VerificationReport:
     """Run one verifier and return its report (passed == no counterexamples).
 
-    Sampled mode needs a seed; exhaustive mode without one seeds with 0.
+    Sampled mode needs a seed and trials >= 1; exhaustive mode seeds with 0 if given none.
     """
     if check_id not in CHECKS:
         raise ValueError(f"unknown check {check_id!r}; known: {sorted(CHECKS)}")
     if mode not in (EXHAUSTIVE, SAMPLED):
         raise ValueError(f"mode must be {EXHAUSTIVE!r} or {SAMPLED!r}")
-    if mode == SAMPLED and seed is None:
-        raise ValueError("sampled mode needs a seed")
+    if mode == SAMPLED and (seed is None or trials < 1):
+        raise ValueError(f"sampled mode needs a seed and trials >= 1, got {seed=}, {trials=}")
     rng = random.Random(0 if seed is None else seed)
     start = time.perf_counter()
     instances, bad, rejections = CHECKS[check_id](params, mode, rng, trials)

@@ -104,6 +104,11 @@ class TestSearchCommand:
         assert code == 2
         assert out == "" and "must be positive" in err
 
+    def test_time_limit_error_names_the_flag(self, capsys):
+        code, _, err = run_cli(capsys, "search-max", "--n1", "4", "--n2", "4",
+                               "--profiles", "2,2", "--time-limit-ms", "0")
+        assert code == 2 and "--time-limit-ms must be positive" in err
+
     def test_deterministic_output_excluding_elapsed(self, capsys):
         args = ("search-max", "--n1", "4", "--n2", "4", "--profiles", "2,2",
                 "--format", "json")
@@ -130,6 +135,13 @@ class TestVerifyCommand:
         assert code == 0
         data = json.loads(out)
         assert data["instances"] == 50 and data["counterexamples"] == []
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_sampled_needs_a_trial(self, capsys, trials):
+        code, out, err = run_cli(capsys, "verify-lemma", "9", "--n1", "10", "--n2", "10",
+                                 "--b", "1", "--shapes", "1,1", "--mode", "sampled",
+                                 "--seed", "1", "--trials", trials)
+        assert code == 2 and out == "" and "trials >= 1" in err
 
     def test_report_written(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -248,6 +260,13 @@ class TestHuntCommand:
                                "--grid", str(grid), "--out", str(tmp_path / "reports"))
         assert code == 2 and "must be positive" in err
         assert not (tmp_path / "reports").exists()
+
+    def test_grid_time_limit_error_names_the_key(self, capsys, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"cells": [[2, 2, 1, 1]], "time_limit_ms": 0}))
+        code, _, err = run_cli(capsys, "hunt", "--conjecture", "1",
+                               "--grid", str(grid), "--out", str(tmp_path / "reports"))
+        assert code == 2 and "time_limit_ms must be positive" in err
 
     def test_bad_conjecture_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "hunt", "--conjecture", "3",

@@ -234,6 +234,11 @@ class TestGrid:
         with pytest.raises(ValueError, match="must be positive"):
             ParameterGrid.from_json({"cells": [[4, 4, 2, 2]], **budget})
 
+    @pytest.mark.parametrize("tl", [0, -5])
+    def test_time_limit_error_names_the_key(self, tl):
+        with pytest.raises(ValueError, match="^time_limit_ms must be positive"):
+            ParameterGrid.from_json({"cells": [[4, 4, 2, 2]], "time_limit_ms": tl})
+
     @pytest.mark.parametrize("budget", [{"node_limit": 0}, {"time_limit_s": 0.0},
                                         {"time_limit_s": -1.0}])
     def test_grid_fields_must_be_positive(self, budget):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ekrlab.cyclic import (
     Interval,
+    _consecutive_interval,
     RectFamily,
     Rectangle,
     all_intervals,
@@ -15,6 +16,7 @@ from ekrlab.cyclic import (
 )
 from ekrlab.doublecount import (
     DoubleCountResult,
+    _run_bitsets,
     double_count_check,
     enumerate_rectangle_pair_count,
     member_weight,
@@ -81,6 +83,31 @@ def benchmark_style_families(seed: int) -> list[Family]:
 def seeded_family(u: Universe, seed: int, size: int) -> Family:
     pool = candidate_sets(u, interior_profiles(u))
     return Family(u, tuple(random.Random(seed).sample(pool, size)))
+
+
+def run_bitsets_reference(n: int, parts: list[list[int]]) -> list[int]:
+    """Per canonical permutation, the parts consecutive under it, one interval test each."""
+    out = []
+    for c in canonical_permutations(n):
+        pos = c.position_of
+        bits = 0
+        for i, part in enumerate(parts):
+            if _consecutive_interval([pos[e] for e in part], n) is not None:
+                bits |= 1 << i
+        out.append(bits)
+    return out
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_run_bitsets_match_interval_tests(n):
+    rng = random.Random(n)
+    special = [[], list(range(n))] + [[e] for e in range(n)]
+    for _ in range(40):
+        parts = [rng.sample(range(n), rng.randint(0, n)) for _ in range(rng.randint(0, 12))]
+        parts += rng.sample(special, rng.randint(0, len(special)))
+        parts += rng.sample(parts, rng.randint(0, len(parts)))  # duplicate parts
+        rng.shuffle(parts)
+        assert _run_bitsets(n, [mask_of(p) for p in parts]) == run_bitsets_reference(n, parts)
 
 
 class TestWeights:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from itertools import chain, combinations
 
 import pytest
@@ -159,6 +160,19 @@ class TestVerifierPlumbing:
         assert a.instances == b.instances
         assert a.counterexamples == b.counterexamples
         assert a.hypothesis_rejections == b.hypothesis_rejections
+
+    @pytest.mark.parametrize("check_id,params", [
+        ("1", {"n": 24, "k": 5}),
+        ("7", {"n1": 5, "n2": 5, "b": 1, "shapes": [[1, 1]]}),
+    ])
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_sampled_needs_a_trial(self, check_id, params, trials):
+        # zero or negative trials once passed vacuously (check 1 reported -6 instances)
+        with pytest.raises(ValueError, match="trials >= 1"):
+            verify_check(check_id, params, mode=SAMPLED, seed=1, trials=trials)
+
+    def test_exhaustive_ignores_trials(self):
+        assert verify_check("1", {"n": 7, "k": 3}, trials=0).instances > 0
 
     def test_counterexample_detection_wired(self):
         # a deliberately false inequality variant is not exposed; instead check
@@ -362,3 +376,52 @@ def test_exhaustive_cliques_match_subset_filter(monkeypatch, dist, kinds):
             assert (report.instances, report.counterexamples) == (instances, bad), (n, k)
             seen |= {c["kind"] for c in bad}
     assert seen == kinds
+
+
+def _sample_family_reference(rng, rows, size_range):
+    """The sampler as first written: ``rng.shuffle`` and a walk over every vertex."""
+    m = len(rows)
+    target = rng.randint(*size_range)
+    order = list(range(m))
+    rng.shuffle(order)
+    chosen, cand = [], (1 << m) - 1
+    for v in order:
+        if len(chosen) >= target:
+            break
+        if cand >> v & 1:
+            chosen.append(v)
+            cand &= rows[v]
+    return chosen
+
+
+class TestSampleFamily:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
+    def test_inline_draw_is_random_shuffle(self, seed):
+        # on a complete graph the walk keeps every vertex, so it returns the draw itself
+        for m in range(201):
+            full = (1 << m) - 1
+            rows = [full & ~(1 << v) for v in range(m)]
+            rng, ref = random.Random(seed), random.Random(seed)
+            order = list(range(m))
+            ref.randint(m, m)
+            ref.shuffle(order)
+            assert verifiers._sample_family(rng, rows, (m, m)) == order, m
+            assert rng.getstate() == ref.getstate(), m
+
+    @pytest.mark.parametrize("density", [0.05, 0.3, 0.7, 1.0])
+    def test_matches_full_walk(self, density):
+        # stopping once no candidate is left returns the same family and stream
+        graphs = random.Random(int(density * 100))
+        for trial in range(150):
+            m = graphs.randrange(0, 120)
+            rows = [0] * m
+            for u, v in combinations(range(m), 2):
+                if graphs.random() < density:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+            size_range = (min(m, graphs.randrange(0, 4)), m)
+            rng, ref = random.Random(trial), random.Random(trial)
+            for _ in range(3):
+                assert (verifiers._sample_family(rng, rows, size_range)
+                        == _sample_family_reference(ref, rows, size_range)), (m, trial)
+            assert rng.getstate() == ref.getstate()
