@@ -1,9 +1,15 @@
 """Extremal constructions and conjecture hunting.
 
-The constructions realize the product-type ceilings of ``bounds``: a
-punctured star in one part (all sets through x meeting a fixed set K, plus
-K itself) crossed with everything in the other for the non-trivial case,
-and the anchored two-step product construction for the two-sided case.
+The constructions realize the product-type ceilings of ``bounds``.  The
+kind table gives each construction kind its anchor part, its free part and
+its predicate class; the conjecture table gives each conjecture its
+constraint, its ceiling and its kinds.  Every member is an anchor-part set
+crossed with a free-part set, so one code path serves both orientations: a
+punctured star in the anchor part (all sets through x meeting a fixed set
+K, plus K itself) for the non-trivial kinds, and the anchored two-step
+product construction for the two-sided kinds.  ``HM_ONE_PART`` is the
+punctured star with an empty free part.
+
 The hunt compares exact search maxima against those ceilings over a
 parameter grid and persists one JSON line per cell so interrupted sweeps
 resume.  The ceilings are not maxima: the two-part Hilton-Milner family
@@ -22,27 +28,26 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .bounds import (
     _nontrivial_term,
     _two_sided_term,
-    hm_bound,
     nontrivial_bound,
     two_sided_bound,
 )
 from .families import (
+    X1,
+    X2,
     Family,
     Profile,
     Universe,
     is_intersecting,
-    is_trivially_intersecting,
-    is_two_sided_intersecting,
     iter_bits,
     mask_of,
     sort_key,
 )
-from .search import Constraint, SearchBudget, max_intersecting, meet_rows
+from .search import Constraint, SearchBudget, _satisfies, max_intersecting, meet_rows
 
 
 class ConstructionKind(Enum):
@@ -51,6 +56,40 @@ class ConstructionKind(Enum):
     NONTRIVIAL_X2 = "nontrivial-side-x2"
     TWO_SIDED_X1 = "two-sided-x1-anchor"
     TWO_SIDED_X2 = "two-sided-x2-anchor"
+
+
+# kind -> (anchor part, free part, predicate class); HM_ONE_PART has no free part
+_KINDS = {
+    ConstructionKind.HM_ONE_PART: (X1, None, Constraint.NONTRIVIAL),
+    ConstructionKind.NONTRIVIAL_X1: (X1, X2, Constraint.NONTRIVIAL),
+    ConstructionKind.NONTRIVIAL_X2: (X2, X1, Constraint.NONTRIVIAL),
+    ConstructionKind.TWO_SIDED_X1: (X1, X2, Constraint.TWO_SIDED),
+    ConstructionKind.TWO_SIDED_X2: (X2, X1, Constraint.TWO_SIDED),
+}
+
+# conjecture -> (constraint, ceiling, construction kinds)
+_CONJECTURES = {
+    1: (Constraint.NONTRIVIAL, nontrivial_bound,
+        (ConstructionKind.NONTRIVIAL_X1, ConstructionKind.NONTRIVIAL_X2)),
+    2: (Constraint.TWO_SIDED, two_sided_bound,
+        (ConstructionKind.TWO_SIDED_X1, ConstructionKind.TWO_SIDED_X2)),
+}
+
+
+def _conjecture(conjecture: int) -> tuple:
+    """The conjecture's row of the conjecture table."""
+    if conjecture not in _CONJECTURES:
+        raise ValueError("conjecture must be 1 or 2")
+    return _CONJECTURES[conjecture]
+
+
+def _parts(kind: ConstructionKind, u: Universe,
+           p: tuple[int, int]) -> tuple[range, int, range, int]:
+    """The anchor part's elements and set size, then the free part's."""
+    anchor, free, _ = _KINDS[kind]
+    k, l = Profile(*p)
+    side = {X1: (u.elements(X1), k), X2: (u.elements(X2), l), None: (range(0), 0)}
+    return (*side[anchor], *side[free])
 
 
 @dataclass(frozen=True)
@@ -64,125 +103,65 @@ class ConstructionSpec:
     l_prime: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.x in self.k_set and self.kind in (
-                ConstructionKind.HM_ONE_PART,
-                ConstructionKind.NONTRIVIAL_X1,
-                ConstructionKind.NONTRIVIAL_X2):
-            raise ValueError("the fixed element x must avoid K")
-        if self.kind in (ConstructionKind.TWO_SIDED_X1, ConstructionKind.TWO_SIDED_X2):
-            if set(self.l_set) & set(self.l_prime):
-                raise ValueError("L and L' must be disjoint")
-            if self.x not in self.l_prime:
-                raise ValueError("x must lie in L'")
-            if self.x in self.l_set:
-                raise ValueError("x must avoid L")
-
-
-def _punctured_star(elements: Iterable[int], size: int, x: int,
-                    k_set: tuple[int, ...]) -> list[int]:
-    """K plus every size-``size`` subset of ``elements`` through x meeting K."""
-    kmask = mask_of(k_set)
-    xbit = 1 << x
-    out = [kmask]
-    for sub in combinations(elements, size):
-        m = mask_of(sub)
-        if m & xbit and m & kmask:
-            out.append(m)
-    return out
+        if _KINDS[self.kind][2] is Constraint.NONTRIVIAL:
+            if self.x in self.k_set:
+                raise ValueError("the fixed element x must avoid K")
+        elif set(self.l_set) & set(self.l_prime):
+            raise ValueError("L and L' must be disjoint")
+        elif self.x not in self.l_prime:
+            raise ValueError("x must lie in L'")
+        elif self.x in self.l_set:
+            raise ValueError("x must avoid L")
 
 
 def canonical_spec(kind: ConstructionKind, u: Universe, p: tuple[int, int]) -> ConstructionSpec:
-    """A deterministic parameter choice: x first in the anchor part, K/L/L' right after."""
-    k, l = Profile(*p)
-    if kind is ConstructionKind.HM_ONE_PART:
-        return ConstructionSpec(kind, u, Profile(k, l), 0, tuple(range(1, k + 1)))
-    if kind is ConstructionKind.NONTRIVIAL_X1:
-        return ConstructionSpec(kind, u, Profile(k, l), 0, tuple(range(1, k + 1)))
-    if kind is ConstructionKind.NONTRIVIAL_X2:
-        return ConstructionSpec(kind, u, Profile(k, l), u.n1, tuple(range(u.n1 + 1, u.n1 + l + 1)))
-    if kind is ConstructionKind.TWO_SIDED_X2:
-        x = u.n1
-        l_prime = tuple(range(u.n1, u.n1 + l))
-        l_set = tuple(range(u.n1 + l, u.n1 + 2 * l))
-        return ConstructionSpec(kind, u, Profile(k, l), x, tuple(range(k)), l_set, l_prime)
-    if kind is ConstructionKind.TWO_SIDED_X1:
-        x = 0
-        l_prime = tuple(range(k))
-        l_set = tuple(range(k, 2 * k))
-        return ConstructionSpec(kind, u, Profile(k, l), x,
-                                tuple(range(u.n1, u.n1 + l)), l_set, l_prime)
-    raise ValueError(f"unknown kind {kind}")
+    """A deterministic parameter choice: x first in the anchor part, K / L' / L right after it.
+
+    Elements count from the part's first index, so a part that u lacks
+    gives an invalid spec or family, not an IndexError.
+    """
+    anchor, a, free, f = _parts(kind, u, p)
+    x = anchor.start
+    if _KINDS[kind][2] is Constraint.NONTRIVIAL:
+        return ConstructionSpec(kind, u, Profile(*p), x, tuple(range(x + 1, x + a + 1)))
+    return ConstructionSpec(kind, u, Profile(*p), x, tuple(range(free.start, free.start + f)),
+                            tuple(range(x + a, x + 2 * a)), tuple(range(x, x + a)))
 
 
 def expected_construction_size(kind: ConstructionKind, u: Universe, p: tuple[int, int]) -> int:
-    """Closed form for the construction size (a term of the conjectured bounds)."""
-    k, l = Profile(*p)
-    if kind is ConstructionKind.HM_ONE_PART:
-        return hm_bound(u.n1, k)
-    if kind is ConstructionKind.NONTRIVIAL_X1:
-        return _nontrivial_term(u.n1, k, u.n2, l)
-    if kind is ConstructionKind.NONTRIVIAL_X2:
-        return _nontrivial_term(u.n2, l, u.n1, k)
-    if kind is ConstructionKind.TWO_SIDED_X2:
-        return _two_sided_term(u.n2, l, u.n1, k)
-    if kind is ConstructionKind.TWO_SIDED_X1:
-        return _two_sided_term(u.n1, k, u.n2, l)
-    raise ValueError(f"unknown kind {kind}")
+    """Closed form for the construction size: its class's bound term at (anchor, free) sizes."""
+    anchor, a, free, f = _parts(kind, u, p)
+    term = _nontrivial_term if _KINDS[kind][2] is Constraint.NONTRIVIAL else _two_sided_term
+    return term(len(anchor), a, len(free), f)
 
 
 def build_construction(spec: ConstructionSpec) -> Family:
-    """Materialize the construction and verify it lands in its predicate class."""
-    u, (k, l) = spec.universe, spec.profile
-    kind = spec.kind
-    if kind is ConstructionKind.HM_ONE_PART:
-        if u.n2 != 0:
-            raise ValueError("one-part construction needs n2 = 0")
-        sets = _punctured_star(range(u.n1), k, spec.x, spec.k_set)
-    elif kind is ConstructionKind.NONTRIVIAL_X1:
-        core = _punctured_star(range(u.n1), k, spec.x, spec.k_set)
-        sets = [a | mask_of(m) for a in core for m in combinations(u.elements("X2"), l)]
-    elif kind is ConstructionKind.NONTRIVIAL_X2:
-        core = _punctured_star(u.elements("X2"), l, spec.x, spec.k_set)
-        sets = [mask_of(a) | m for m in core for a in combinations(range(u.n1), k)]
-    elif kind is ConstructionKind.TWO_SIDED_X2:
-        sets = _two_sided(u, k, l, spec, anchor_x2=True)
-    elif kind is ConstructionKind.TWO_SIDED_X1:
-        sets = _two_sided(u, k, l, spec, anchor_x2=False)
+    """Materialize the construction and verify it lands in its predicate class.
+
+    The two-step family is every anchor set through x meeting L times every
+    free set, plus K + L, plus L' + every free set meeting K.
+    """
+    u, kind = spec.universe, spec.kind
+    _, free_part, constraint = _KINDS[kind]
+    if free_part is None and u.n2 != 0:
+        raise ValueError("one-part construction needs n2 = 0")
+    anchor, a, free, f = _parts(kind, u, spec.profile)
+    xbit, kmask = 1 << spec.x, mask_of(spec.k_set)
+    free_sets = [mask_of(sub) for sub in combinations(free, f)]
+    if constraint is Constraint.NONTRIVIAL:
+        meet, extra = kmask, [kmask | b for b in free_sets]
     else:
-        raise ValueError(f"unknown kind {kind}")
-    fam = Family(u, tuple(sorted(set(sets), key=sort_key)))
-    _assert_kind(fam, kind)
-    return fam
-
-
-def _two_sided(u: Universe, k: int, l: int, spec: ConstructionSpec, anchor_x2: bool) -> list[int]:
-    if anchor_x2:
-        anchor_elems, anchor_size = u.elements("X2"), l
-        free_elems, free_size = range(u.n1), k
-    else:
-        anchor_elems, anchor_size = range(u.n1), k
-        free_elems, free_size = u.elements("X2"), l
-    xbit = 1 << spec.x
-    lmask, lpmask, kmask = mask_of(spec.l_set), mask_of(spec.l_prime), mask_of(spec.k_set)
-    almost = [m for sub in combinations(anchor_elems, anchor_size)
-              if (m := mask_of(sub)) & xbit and m & lmask]
-    free_all = [mask_of(sub) for sub in combinations(free_elems, free_size)]
-    sets = [a | m for m in almost for a in free_all]
-    sets.append(kmask | lmask)
-    sets.extend(a | lpmask for a in free_all if a & kmask)
-    return sets
-
-
-def _assert_kind(fam: Family, kind: ConstructionKind) -> None:
+        meet, lpmask = mask_of(spec.l_set), mask_of(spec.l_prime)
+        extra = [kmask | meet] + [b | lpmask for b in free_sets if b & kmask]
+    sets = [m | b for sub in combinations(anchor, a)
+            if (m := mask_of(sub)) & xbit and m & meet for b in free_sets]
+    fam = Family(u, tuple(sorted(set(sets + extra), key=sort_key)))
     if not is_intersecting(fam):
         raise ValueError(f"{kind.value} construction is not intersecting")
-    if kind in (ConstructionKind.HM_ONE_PART, ConstructionKind.NONTRIVIAL_X1,
-                ConstructionKind.NONTRIVIAL_X2):
-        if is_trivially_intersecting(fam):
-            raise ValueError(f"{kind.value} construction is trivially intersecting")
-    else:
-        if not is_two_sided_intersecting(fam):
-            raise ValueError(f"{kind.value} construction is not two-sided")
+    if not _satisfies(fam, constraint):
+        what = "trivially intersecting" if constraint is Constraint.NONTRIVIAL else "not two-sided"
+        raise ValueError(f"{kind.value} construction is {what}")
+    return fam
 
 
 def feasible_kinds(conjecture: int, u: Universe, p: tuple[int, int]) -> list[ConstructionKind]:
@@ -194,20 +173,13 @@ def feasible_kinds(conjecture: int, u: Universe, p: tuple[int, int]) -> list[Con
     other from disjoint sets on the free side (or, with a one-sized anchor,
     from the cross-intersecting tail, which then needs the free size >= 2).
     """
-    k, l = Profile(*p)
-    kinds = []
-    if conjecture == 1:
-        if k >= 2:
-            kinds.append(ConstructionKind.NONTRIVIAL_X1)
-        if l >= 2:
-            kinds.append(ConstructionKind.NONTRIVIAL_X2)
-    elif conjecture == 2:
-        if k >= 2 or l >= 2:
-            kinds.append(ConstructionKind.TWO_SIDED_X1)
-            kinds.append(ConstructionKind.TWO_SIDED_X2)
-    else:
-        raise ValueError("conjecture must be 1 or 2")
-    return kinds
+    constraint, _, kinds = _conjecture(conjecture)
+    feasible = []
+    for kind in kinds:
+        _, a, _, f = _parts(kind, u, p)
+        if a >= 2 or (constraint is Constraint.TWO_SIDED and f >= 2):
+            feasible.append(kind)
+    return feasible
 
 
 def best_construction(conjecture: int, u: Universe, p: tuple[int, int]) -> Family | None:
@@ -430,14 +402,8 @@ class ParameterGrid:
 
     @classmethod
     def default(cls, max_n: int = 5, max_k: int = 2) -> "ParameterGrid":
-        cells = [
-            GridCell(n1, n2, k, l)
-            for n1 in range(2, max_n + 1)
-            for n2 in range(2, max_n + 1)
-            for k in range(1, min(max_k, n1 // 2) + 1)
-            for l in range(1, min(max_k, n2 // 2) + 1)
-        ]
-        return cls(tuple(cells))
+        return cls.from_json({"n1_range": [2, max_n], "n2_range": [2, max_n],
+                              "k_range": [1, max_k], "l_range": [1, max_k]})
 
     @classmethod
     def from_json(cls, data: dict) -> "ParameterGrid":
@@ -513,13 +479,11 @@ def evaluate_cell(conjecture: int, cell: GridCell, node_limit: int | None = None
     start = time.perf_counter()
     u = Universe(cell.n1, cell.n2)
     p = Profile(cell.k, cell.l)
-    constraint = Constraint.NONTRIVIAL if conjecture == 1 else Constraint.TWO_SIDED
-    bound_fn = nontrivial_bound if conjecture == 1 else two_sided_bound
-    budget = None  # a bad budget is the caller's error, not the cell's: it raises
-    if node_limit is not None or time_limit_s is not None:
-        budget = SearchBudget(node_limit, time_limit_s)
+    # an unknown conjecture or a bad budget is the caller's error, not the cell's: both raise
+    constraint, ceiling, _ = _conjecture(conjecture)
+    budget = SearchBudget(node_limit, time_limit_s)
     try:
-        bound = bound_fn(u, p)
+        bound = ceiling(u, p)
         seed = best_construction(conjecture, u, p)
         result = max_intersecting(u, [p], constraint, budget, seed=seed, symmetry=True)
         csize = len(seed) if seed is not None else 0
@@ -619,8 +583,7 @@ def hunt(grid: ParameterGrid, conjecture: int, jsonl_path: str,
     JSON-lines file are skipped (their recorded results are kept in the
     report), except cells whose last record is an error: those run again.
     """
-    if conjecture not in (1, 2):
-        raise ValueError("conjecture must be 1 or 2")
+    _conjecture(conjecture)  # rejects an unknown conjecture before the report is touched
     done = _read_completed(jsonl_path, conjecture) if resume else {}
     if not resume and os.path.exists(jsonl_path):
         os.remove(jsonl_path)

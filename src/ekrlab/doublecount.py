@@ -168,7 +168,9 @@ def double_count_check(f: Family) -> DoubleCountResult:
         for r1 in runs1
         for r2 in runs2
     ]
-    per_pair = tuple(Fraction(t, denom) for t in pair_nums)
+    # a family has only a handful of distinct pair numerators: one Fraction each
+    term = {t: Fraction(t, denom) for t in set(pair_nums)}
+    per_pair = tuple(term[t] for t in pair_nums)
     return DoubleCountResult(len(f), by_member, Fraction(sum(pair_nums), denom), per_pair)
 
 

@@ -432,12 +432,6 @@ class _CliqueSearch:
         return completed, self.nodes
 
 
-def _star_seed(graph: CompatibilityGraph) -> tuple[int, ...]:
-    """Vertex indices of the largest single-element star among the candidates."""
-    inc = element_incidence(graph.universe, graph.vertices)
-    return tuple(iter_bits(max(inc, key=int.bit_count)))
-
-
 def _seed_indices(graph: CompatibilityGraph, seed: Family, constraint: Constraint) -> tuple[int, ...]:
     if seed.universe != graph.universe:
         raise ValueError("seed family lives in a different universe")
@@ -463,8 +457,7 @@ def _satisfies(f: Family, constraint: Constraint) -> bool:
 
 def max_intersecting(u: Universe, profiles, constraint: Constraint = Constraint.ANY,
                      budget: SearchBudget | None = None, *, seed: Family | None = None,
-                     symmetry: bool = False, vertex_cap: int = VERTEX_CAP,
-                     graph: CompatibilityGraph | None = None) -> SearchResult:
+                     symmetry: bool = False, graph: CompatibilityGraph | None = None) -> SearchResult:
     """Exact maximum intersecting family under the given structural constraint.
 
     Deterministic for fixed inputs: ties between maximum witnesses keep the
@@ -476,7 +469,7 @@ def max_intersecting(u: Universe, profiles, constraint: Constraint = Constraint.
     """
     start = time.perf_counter()
     if graph is None:
-        graph = build_graph(u, profiles, vertex_cap)
+        graph = build_graph(u, profiles)
     if constraint is Constraint.TWO_SIDED and not u.two_part:
         raise ValueError("two-sided constraint needs a two-part universe")
     search = _CliqueSearch(graph, constraint, budget, symmetry, start)
@@ -484,7 +477,8 @@ def max_intersecting(u: Universe, profiles, constraint: Constraint = Constraint.
         idx = _seed_indices(graph, seed, constraint)
         search.offer(len(idx), idx)
     elif constraint is Constraint.ANY:
-        star = _star_seed(graph)
+        # the largest single-element star: the first widest incidence row S_e
+        star = tuple(iter_bits(max(search.inc, key=int.bit_count)))
         if star:
             search.offer(len(star), star)
     completed, nodes = search.run()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -98,6 +99,66 @@ class TestConstructions:
         with pytest.raises(ValueError, match="disjoint"):
             ConstructionSpec(ConstructionKind.TWO_SIDED_X2, u, Profile(2, 2), 4,
                              (0, 1), (4, 5), (4, 6))
+
+
+def _construction_cells():
+    """Every (n1, n2, k, l) with n1, n2 <= 8, 2k <= n1, 2l <= n2, plus one-part (n1, 0, k, 0)."""
+    for n1 in range(2, 9):
+        for k in range(1, n1 // 2 + 1):
+            yield n1, 0, k, 0
+            for n2 in range(2, 9):
+                for l in range(1, n2 // 2 + 1):
+                    yield n1, n2, k, l
+
+
+def _outcome(fn, *args):
+    """fn's result, or the name of the exception type it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc).__name__
+
+
+class TestConstructionPin:
+    # sha256 over every cell's canonical spec fields, closed-form size and
+    # built family (or error type) per kind, and feasible kinds and best
+    # construction per conjecture; recorded with one `if` chain per kind
+    DIGEST = "7dd83e4f5a463055141bdc31f7ddec0f4b06ccd7f61a33e2c3d131cbeb5247df"
+
+    def test_constructions_match_pinned_digest(self):
+        h = hashlib.sha256()
+        for n1, n2, k, l in _construction_cells():
+            u, p = Universe(n1, n2), (k, l)
+            rec = {"cell": [n1, n2, k, l]}
+            for kind in ConstructionKind:
+                spec = _outcome(canonical_spec, kind, u, p)
+                entry = {"size": _outcome(expected_construction_size, kind, u, p)}
+                if isinstance(spec, str):
+                    entry["spec"] = spec
+                else:
+                    entry["spec"] = [spec.x, spec.k_set, spec.l_set, spec.l_prime]
+                    fam = _outcome(build_construction, spec)
+                    entry["family"] = fam if isinstance(fam, str) else fam.sets
+                rec[kind.value] = entry
+            for conj in (1, 2):
+                best = _outcome(best_construction, conj, u, p)
+                rec[f"conjecture {conj}"] = [
+                    [kind.value for kind in feasible_kinds(conj, u, p)],
+                    best if best is None or isinstance(best, str) else best.sets,
+                ]
+            h.update(json.dumps(rec).encode())
+        assert h.hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize("kind,u,p", [
+        (ConstructionKind.NONTRIVIAL_X2, Universe(4, 0), (2, 0)),
+        (ConstructionKind.TWO_SIDED_X2, Universe(4, 0), (2, 0)),
+        (ConstructionKind.HM_ONE_PART, Universe(4, 4), (2, 2)),
+    ])
+    def test_kind_outside_its_universe_raises_value_error(self, kind, u, p):
+        # the universe lacks the kind's anchor part or has a part the kind
+        # leaves empty: a ValueError, never an IndexError from an empty part
+        with pytest.raises(ValueError):
+            build_construction(canonical_spec(kind, u, p))
 
 
 class TestCrossIntersecting:
@@ -253,6 +314,12 @@ class TestEvaluateCell:
         # a caller error, not a cell error: it is not recorded as an "error" cell
         with pytest.raises(ValueError, match="must be positive"):
             evaluate_cell(1, GridCell(4, 4, 2, 2), **budget)
+
+    @pytest.mark.parametrize("conjecture", [0, 3])
+    def test_unknown_conjecture_raises(self, conjecture):
+        # a caller error like a bad budget, not an "error" cell
+        with pytest.raises(ValueError, match="conjecture must be 1 or 2"):
+            evaluate_cell(conjecture, GridCell(4, 4, 2, 2))
 
     def test_conjecture1_reference_cell(self):
         res = evaluate_cell(1, GridCell(4, 4, 2, 2))
