@@ -151,14 +151,11 @@ def cmd_check_family(args) -> int:
     return 0
 
 
-def _budget_from(args) -> SearchBudget | None:
-    node_limit = getattr(args, "node_limit", None)
-    tl = getattr(args, "time_limit_ms", None)
-    if node_limit is None and tl is None:
-        return None
+def _budget_from(args) -> SearchBudget:
+    tl = args.time_limit_ms
     if tl is not None and tl <= 0:
         raise ValueError("--time-limit-ms must be positive")
-    return SearchBudget(node_limit, tl / 1000.0 if tl is not None else None)
+    return SearchBudget(args.node_limit, None if tl is None else tl / 1000.0)
 
 
 def cmd_search_max(args) -> int:

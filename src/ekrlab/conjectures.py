@@ -47,7 +47,8 @@ from .families import (
     mask_of,
     sort_key,
 )
-from .search import Constraint, SearchBudget, _satisfies, max_intersecting, meet_rows
+from .search import (Constraint, SearchBudget, _BudgetExhausted, _satisfies, max_intersecting,
+                     meet_rows)
 
 
 class ConstructionKind(Enum):
@@ -212,10 +213,6 @@ class CrossResult:
         }
 
 
-class _CrossBudget(Exception):
-    pass
-
-
 def _max_matching(adj: list[int], left: int, right: int) -> tuple[int, list[int]]:
     """Maximum matching between the bitsets ``left`` and ``right`` (Kuhn's method).
 
@@ -308,16 +305,12 @@ def max_cross_intersecting(n: int, k: int, budget: SearchBudget | None = None) -
     A node is one forced pair (a, b).  The incumbent starts as the singleton
     seed F = {a}, G = every set meeting a; the pairs run over b in ascending
     order and only a strictly larger total replaces it, so ties keep the
-    earliest.  The node limit counts pairs, and the time limit counts from
-    the call's start, set-up included.
+    earliest.  The node limit counts pairs, under ``SearchBudget.exceeded``.
     """
     if k < 1 or 2 * k > n:
         raise ValueError(f"needs 1 <= k and 2k <= n, got n={n}, k={k}")
     start = time.perf_counter()
     budget = budget or SearchBudget()
-    deadline = None
-    if budget.time_limit_s is not None:
-        deadline = start + budget.time_limit_s
     u = Universe(n, 0)
     cands = [mask_of(c) for c in combinations(range(n), k)]
     meets = meet_rows(u, cands)
@@ -329,21 +322,19 @@ def max_cross_intersecting(n: int, k: int, budget: SearchBudget | None = None) -
     nodes = 0
     proven = True
     try:
-        if deadline is not None and time.perf_counter() > deadline:
-            raise _CrossBudget  # set-up alone used up the time limit
+        if budget.exceeded(0, start):
+            raise _BudgetExhausted  # set-up alone used up the time limit
         for b in iter_bits(right):
             nodes += 1
-            if budget.node_limit is not None and nodes > budget.node_limit:
-                raise _CrossBudget
-            if deadline is not None and time.perf_counter() > deadline:
-                raise _CrossBudget
+            if budget.exceeded(nodes, start):
+                raise _BudgetExhausted
             left = meets[b]  # F must meet b
             size, mate = _max_matching(disj, left, right)
             total = left.bit_count() + right.bit_count() - size
             if total > best:
                 best = total
                 fmask, gmask = _koenig_independent_set(disj, left, right, mate)
-    except _CrossBudget:
+    except _BudgetExhausted:
         proven = False
     fam_a = Family(u, tuple(cands[i] for i in iter_bits(fmask)))
     fam_b = Family(u, tuple(cands[i] for i in iter_bits(gmask)))
@@ -388,6 +379,13 @@ class GridCell(NamedTuple):
     l: int
 
 
+def _ints(value, what: str, count: int) -> list[int]:
+    """``value`` when it is a list of ``count`` integers, else a ValueError naming ``what``."""
+    if not (isinstance(value, list) and len(value) == count and all(type(x) is int for x in value)):
+        raise ValueError(f"{what} must be a list of {count} integers, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ParameterGrid:
     cells: tuple[GridCell, ...]
@@ -401,29 +399,30 @@ class ParameterGrid:
         SearchBudget(self.node_limit, self.time_limit_s)  # rejects zero and negative limits
 
     @classmethod
-    def default(cls, max_n: int = 5, max_k: int = 2) -> "ParameterGrid":
-        return cls.from_json({"n1_range": [2, max_n], "n2_range": [2, max_n],
-                              "k_range": [1, max_k], "l_range": [1, max_k]})
+    def default(cls) -> "ParameterGrid":
+        return cls.from_json({"n1_range": [2, 5], "n2_range": [2, 5],
+                              "k_range": [1, 2], "l_range": [1, 2]})
 
     @classmethod
-    def from_json(cls, data: dict) -> "ParameterGrid":
-        node_limit = data.get("node_limit")
-        tl = data.get("time_limit_ms")
-        if tl is not None and tl <= 0:
-            raise ValueError("time_limit_ms must be positive")
-        time_limit_s = tl / 1000.0 if tl is not None else None
+    def from_json(cls, data) -> "ParameterGrid":
+        """The grid a JSON object gives; a malformed one raises ValueError naming the key or cell."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a grid must be a JSON object, got {data!r}")
+        node_limit, tl = data.get("node_limit"), data.get("time_limit_ms")
+        if node_limit is not None and type(node_limit) is not int:
+            raise ValueError(f"node_limit must be an integer, got {node_limit!r}")
+        if tl is not None and (type(tl) not in (int, float) or tl <= 0):
+            raise ValueError(f"time_limit_ms must be positive milliseconds, got {tl!r}")
         if "cells" in data:
-            cells = tuple(GridCell(*c) for c in data["cells"])
+            if not isinstance(data["cells"], list):
+                raise ValueError(f"cells must be a list, got {data['cells']!r}")
+            cells = tuple(GridCell(*_ints(c, "cell", 4)) for c in data["cells"])
         else:
-            r = {key: data[key] for key in ("n1_range", "n2_range", "k_range", "l_range")}
-            cells = tuple(
-                GridCell(n1, n2, k, l)
-                for n1 in range(r["n1_range"][0], r["n1_range"][1] + 1)
-                for n2 in range(r["n2_range"][0], r["n2_range"][1] + 1)
-                for k in range(r["k_range"][0], min(r["k_range"][1], n1 // 2) + 1)
-                for l in range(r["l_range"][0], min(r["l_range"][1], n2 // 2) + 1)
-            )
-        return cls(cells, node_limit, time_limit_s)
+            keys = ("n1_range", "n2_range", "k_range", "l_range")
+            n1s, n2s, ks, ls = (range(a, b + 1) for a, b in (_ints(data.get(x), x, 2) for x in keys))
+            cells = tuple(GridCell(n1, n2, k, l) for n1 in n1s for n2 in n2s
+                          for k in ks if 2 * k <= n1 for l in ls if 2 * l <= n2)
+        return cls(cells, node_limit, None if tl is None else tl / 1000.0)
 
     @classmethod
     def load(cls, path: str) -> "ParameterGrid":

@@ -148,8 +148,10 @@ class Family:
         for s in sets:
             s = list(s)
             for e in s:
-                if not 0 <= e < u.size:
-                    raise ValueError(f"element {e} outside universe ({u.n1},{u.n2})")
+                if type(e) is not int or not 0 <= e < u.size:
+                    raise ValueError(f"element {e!r} is not an index of universe ({u.n1},{u.n2})")
+            if len(set(s)) != len(s):
+                raise ValueError(f"member set {s} lists an element twice")
             masks.append(mask_of(s))
         return cls(u, tuple(masks))
 
@@ -250,9 +252,13 @@ def family_to_json(f: Family) -> dict:
     return {"n1": f.universe.n1, "n2": f.universe.n2, "sets": f.to_lists()}
 
 
-def family_from_json(data: dict) -> Family:
-    u = Universe(int(data["n1"]), int(data["n2"]))
-    return Family.from_lists(u, data["sets"])
+def family_from_json(data) -> Family:
+    """The family of a JSON object; a malformed one raises ValueError."""
+    sets = data.get("sets") if isinstance(data, dict) else None
+    if not (isinstance(sets, list) and all(isinstance(s, list) for s in sets)
+            and all(type(data.get(key)) is int for key in ("n1", "n2"))):
+        raise ValueError('a family needs integers "n1", "n2" and "sets", a list of element lists')
+    return Family.from_lists(Universe(data["n1"], data["n2"]), sets)
 
 
 def load_family(path: str) -> Family:

@@ -101,6 +101,19 @@ class SearchBudget:
         if self.time_limit_s is not None and self.time_limit_s <= 0:
             raise ValueError("time_limit_s must be positive")
 
+    def exceeded(self, nodes: int, start: float) -> bool:
+        """Whether ``nodes`` ticked nodes, or the time since the call's ``start``, exceed it.
+
+        Solvers tick a node before expanding it, so limit n stops at n + 1
+        nodes, and check ``nodes = 0`` after set-up, which the time counts.
+        """
+        return (self.node_limit is not None and nodes > self.node_limit
+                or self.time_limit_s is not None and time.perf_counter() - start > self.time_limit_s)
+
+
+class _BudgetExhausted(Exception):
+    """Raised inside both exact solvers when their ``SearchBudget`` is exceeded."""
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -160,13 +173,13 @@ def meet_rows(u: Universe, masks) -> list[int]:
     return rows
 
 
-def build_graph(u: Universe, profiles, vertex_cap: int = VERTEX_CAP) -> CompatibilityGraph:
+def build_graph(u: Universe, profiles) -> CompatibilityGraph:
     """Compatibility graph over every profile-respecting set, in canonical vertex order."""
     ps = normalize_profiles(u, profiles)
     masks = candidate_sets(u, ps)
     m = len(masks)
-    if m > vertex_cap:
-        raise ValueError(f"{m} candidate sets exceed the vertex cap of {vertex_cap}")
+    if m > VERTEX_CAP:
+        raise ValueError(f"{m} candidate sets exceed the vertex cap of {VERTEX_CAP}")
     adj = tuple(row & ~(1 << v) for v, row in enumerate(meet_rows(u, masks)))
     return CompatibilityGraph(u, ps, tuple(masks), adj)
 
@@ -244,10 +257,6 @@ def _split_atoms(atoms, vmask: int):
     return tuple(out) if wide else None
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 class _CliqueSearch:
     def __init__(self, graph: CompatibilityGraph, constraint: Constraint,
                  budget: SearchBudget | None, symmetry: bool, start: float):
@@ -260,9 +269,7 @@ class _CliqueSearch:
         u = graph.universe
         self.x1m, self.x2m = u.x1_mask, u.x2_mask
         self.nodes = 0
-        self.deadline = None
-        if self.budget.time_limit_s is not None:
-            self.deadline = start + self.budget.time_limit_s
+        self.start = start
         self.best = 0
         self.best_witness: tuple[int, ...] = ()
         everyone = (1 << graph.size) - 1
@@ -289,9 +296,7 @@ class _CliqueSearch:
 
     def _tick(self) -> None:
         self.nodes += 1
-        if self.budget.node_limit is not None and self.nodes > self.budget.node_limit:
-            raise _BudgetExhausted
-        if self.deadline is not None and time.perf_counter() > self.deadline:
+        if self.budget.exceeded(self.nodes, self.start):
             raise _BudgetExhausted
 
     def _color_order(self, p: int, kmin: int) -> list[tuple[int, int]]:
@@ -410,7 +415,7 @@ class _CliqueSearch:
                         for c in _orbit_classes(suffix, parts, self.inc)}
         completed = True
         try:
-            if self.deadline is not None and time.perf_counter() > self.deadline:
+            if self.budget.exceeded(0, self.start):
                 raise _BudgetExhausted  # set-up alone used up the time limit
             for v in order:
                 bit = 1 << v

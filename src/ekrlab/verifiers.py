@@ -8,10 +8,13 @@ instance fails the hypothesis.  A passing report has an empty
 counterexample list; sampled runs also record how many draws were rejected
 for failing the hypothesis.  Exhaustive runs seed the random weights of
 check c3 with 0, so every mode is reproducible.  Rectangles proj-intersect
-exactly when their I-points in X1 plus J-points in X2 meet, so families
-grow over ``search.meet_rows`` rows, in a vertex order drawn by
-``random.shuffle``'s Fisher-Yates loop written inline: the same
-``getrandbits`` calls, so each seed still gives the same stream and reports.
+exactly when their I-points in X1 plus J-points in X2 meet, so the
+proj-intersecting families are the cliques of the ``search.meet_rows``
+rows.  Exhaustive runs list them with ``_cliques``, one bitset clique
+enumerator in ascending vertex order; sampled runs grow them in a vertex
+order drawn by ``random.shuffle``'s Fisher-Yates loop written inline: the
+same ``getrandbits`` calls, so each seed still gives the same stream and
+reports.
 
 The other relation tests also read bitset rows built once per call.  The
 family checks take each rectangle's blocking partners (same J and
@@ -21,10 +24,9 @@ pairwise, so a family's blocking pairs are the space's pairs inside its
 member mask, and check 8 intersects that mask with one shape class at a
 time.  Check 2 keeps one far-row per interval (the intervals at distance
 >= b+1).  Check 1 keeps the adjacency rows of the distance graph; in
-exhaustive mode it enumerates only the cliques of size k and k+1, in
-ascending vertex order by bitset recursion, and counts the C(n,k+1) +
-C(n,k) subsets arithmetically, since a subset that is not a clique cannot
-fail.
+exhaustive mode ``_cliques`` lists only its cliques of size k and k+1, and
+the C(n,k+1) + C(n,k) subsets are counted arithmetically, since a subset
+that is not a clique cannot fail.
 
 Check ids (the CLI exposes the same numbering):
 
@@ -163,29 +165,32 @@ def _proj_rows(n1: int, n2: int, rects: list[Rectangle]) -> list[int]:
     return [row & ~(1 << v) for v, row in enumerate(meet_rows(Universe(n1, n2), masks))]
 
 
-def _iter_proj_families(rows: list[int], min_size: int, cap: int = EXHAUSTIVE_CAP):
-    """Every proj-intersecting subset of size >= min_size, as index tuples."""
-    seen = 0
+def _cliques(rows: list[int], min_size: int, max_size: int | None = None):
+    """Every clique of min_size to max_size vertices, ``rows[v]`` being v's neighbours.
+
+    Cliques come as ascending index tuples, in lexicographic order; the
+    clique after the first ``EXHAUSTIVE_CAP`` raises ``InfeasibleExhaustive``.
+    """
 
     def rec(chosen: list[int], cand: int):
-        nonlocal seen
         if len(chosen) >= min_size:
-            seen += 1
-            if seen > cap:
-                raise InfeasibleExhaustive(
-                    f"more than {cap} hypothesis-satisfying families; use sampled mode")
             yield tuple(chosen)
-        c = cand
-        while c:
-            v = (c & -c).bit_length() - 1
-            c ^= 1 << v
-            if len(chosen) + 1 + c.bit_count() < min_size:
+            if len(chosen) == max_size:
+                return
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand ^= 1 << v
+            if len(chosen) + 1 + cand.bit_count() < min_size:
                 return
             chosen.append(v)
-            yield from rec(chosen, c & rows[v])
+            yield from rec(chosen, cand & rows[v])
             chosen.pop()
 
-    yield from rec([], (1 << len(rows)) - 1)
+    for seen, clique in enumerate(rec([], (1 << len(rows)) - 1), 1):
+        if seen > EXHAUSTIVE_CAP:
+            raise InfeasibleExhaustive(
+                f"more than {EXHAUSTIVE_CAP} hypothesis-satisfying families; use sampled mode")
+        yield clique
 
 
 def _sample_family(rng: random.Random, rows: list[int], size_range: tuple[int, int]) -> list[int]:
@@ -279,7 +284,7 @@ def _family_check(params, mode, rng, trials, shapes, test, min_size: int = 2):
         holds = test(members, mask, blocking)
         return {"family": _rect_json(members)} if holds is False else holds
 
-    return _drive(mode, rng, trials, _iter_proj_families(rows, min_size),
+    return _drive(mode, rng, trials, _cliques(rows, min_size),
                   lambda rng: _sample_family(rng, rows, (min_size, len(rects))), judge)
 
 
@@ -306,21 +311,6 @@ def _check_distance_graph_cliques(params, mode, rng, trials):
         elif not any(all((s + i) % n in vs for i in range(k)) for s in vs):
             bad.append({"kind": "non-consecutive k-clique", "vertices": list(vs)})
 
-    def cliques(chosen, cand):
-        """Judge every clique of size k and k+1 extending ``chosen`` inside ``cand``."""
-        if len(chosen) >= k:
-            judge(chosen)
-            if len(chosen) > k:
-                return
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand ^= 1 << v
-            if len(chosen) + 1 + cand.bit_count() < k:
-                return
-            chosen.append(v)
-            cliques(chosen, cand & near[v])
-            chosen.pop()
-
     if mode == EXHAUSTIVE:
         subsets = comb(n, k + 1) + comb(n, k)
         if subsets > EXHAUSTIVE_CAP:
@@ -330,7 +320,8 @@ def _check_distance_graph_cliques(params, mode, rng, trials):
             if not is_clique(run):
                 bad.append({"kind": "consecutive run not a clique", "vertices": sorted(run)})
         # every (k+1)- and k-subset is an instance; only the cliques among them can fail
-        cliques([], (1 << n) - 1)
+        for vs in _cliques(near, k, k + 1):
+            judge(vs)
         return n + subsets, bad, 0
     # two draws per trial: one (k+1)-subset, one k-subset
     for _ in range(trials):

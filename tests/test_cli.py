@@ -217,6 +217,20 @@ class TestCheckFamilyCommand:
         assert code == 2
         assert "duplicate" in err
 
+    @pytest.mark.parametrize("data", [
+        {"n1": 2, "n2": 2},
+        {"n1": 2, "n2": 2, "sets": 5},
+        {"n1": 2, "n2": 2, "sets": [[0, "2"]]},
+        [[0, 2], [0, 3]],
+        {"n1": 2, "n2": 2, "sets": [[0, 0]]},
+    ], ids=["no-sets", "sets-not-a-list", "non-integer-element", "top-level-list",
+            "repeated-element"])
+    def test_malformed_file_is_a_usage_error(self, capsys, tmp_path, data):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-family", "--file", str(fam))
+        assert code == 2 and err.startswith("error:") and not out
+
 
 class TestEnumerateCommand:
     def test_lists_sets(self, capsys):
@@ -267,6 +281,23 @@ class TestHuntCommand:
         code, _, err = run_cli(capsys, "hunt", "--conjecture", "1",
                                "--grid", str(grid), "--out", str(tmp_path / "reports"))
         assert code == 2 and "time_limit_ms must be positive" in err
+
+    @pytest.mark.parametrize("data", [
+        {"cells": [[4, 4, 2]]},
+        {"cells": [[4, 4, "2", 2]]},
+        {"n1_range": [2, 3]},
+        {"cells": [[4, 4, 2, 2]], "node_limit": "5"},
+        {"cells": [[4, 4, 2, 2]], "time_limit_ms": "5"},
+        [1, 2],
+    ], ids=["short-cell", "string-in-cell", "missing-ranges", "string-node-limit",
+            "string-time-limit", "top-level-list"])
+    def test_malformed_grid_is_a_usage_error(self, capsys, tmp_path, data):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "hunt", "--conjecture", "1",
+                               "--grid", str(grid), "--out", str(tmp_path / "reports"))
+        assert code == 2 and err.startswith("error:")
+        assert not (tmp_path / "reports").exists()
 
     def test_bad_conjecture_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "hunt", "--conjecture", "3",

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from ekrlab import search
 from ekrlab.bounds import ekr_bound, frankl_bound, star_size
 from ekrlab.families import (
     Family,
@@ -39,9 +40,10 @@ class TestBuildGraph:
         assert g.size == 9
         assert g.edge_count() == 18
 
-    def test_vertex_cap_error_names_count(self):
+    def test_vertex_cap_error_names_count(self, monkeypatch):
+        monkeypatch.setattr(search, "VERTEX_CAP", 10)
         with pytest.raises(ValueError, match="36"):
-            build_graph(Universe(4, 4), [(2, 2)], vertex_cap=10)
+            build_graph(Universe(4, 4), [(2, 2)])
 
     def test_adjacency_symmetric_irreflexive(self):
         g = build_graph(Universe(3, 3), [(1, 1), (2, 2)])

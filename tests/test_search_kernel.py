@@ -437,6 +437,18 @@ class TestOrbitClasses:
 
 
 class TestBudgetFromEntry:
+    @pytest.mark.parametrize("solve", [
+        lambda b: max_intersecting(Universe(4, 4), [(2, 2)], Constraint.NONTRIVIAL, b),
+        lambda b: max_intersecting(Universe(4, 4), [(2, 2)], Constraint.NONTRIVIAL, b,
+                                   symmetry=True),
+        lambda b: max_cross_intersecting(7, 3, b),
+    ], ids=["search", "search-symmetry", "cross"])
+    def test_exhausted_node_limit_counts_alike(self, solve):
+        # both solvers tick a node before expanding it and stop at the first
+        # tick over the limit, so limit n ends at n + 1 nodes
+        r = solve(SearchBudget(node_limit=5))
+        assert (r.nodes, r.proven_optimal) == (6, False)
+
     def test_search_limit_shorter_than_setup(self):
         r = max_intersecting(Universe(4, 4), [(2, 2)], Constraint.NONTRIVIAL,
                              SearchBudget(time_limit_s=1e-9))

@@ -425,3 +425,28 @@ class TestSampleFamily:
                 assert (verifiers._sample_family(rng, rows, size_range)
                         == _sample_family_reference(ref, rows, size_range)), (m, trial)
             assert rng.getstate() == ref.getstate()
+
+
+def _cliques_by_combinations(rows, min_size, max_size):
+    """Reference: every subset of min_size to max_size vertices, kept when pairwise adjacent."""
+    found = [vs for size in range(min_size, max_size + 1)
+             for vs in combinations(range(len(rows)), size)
+             if all(rows[a] >> b & 1 for a, b in combinations(vs, 2))]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("extra", [None, 0, 1])
+def test_cliques_match_pairwise_filter(extra):
+    # the same tuples in the same order: lexicographic, each clique before its extensions
+    graphs = random.Random(20261019 if extra is None else extra)
+    for trial in range(120):
+        m, density = graphs.randrange(0, 13), graphs.random()
+        rows = [0] * m
+        for u, v in combinations(range(m), 2):
+            if graphs.random() < density:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        min_size = graphs.randrange(0, 5)
+        max_size = None if extra is None else min_size + extra
+        want = _cliques_by_combinations(rows, min_size, m if max_size is None else max_size)
+        assert list(verifiers._cliques(rows, min_size, max_size)) == want, (rows, min_size)
