@@ -25,7 +25,7 @@ from .bounds import (
     star_bound_proven,
     two_sided_bound,
 )
-from .conjectures import ParameterGrid, hunt
+from .conjectures import CELL_ERROR, ParameterGrid, hunt
 from .doublecount import double_count_check
 from .families import (
     Family,
@@ -246,7 +246,7 @@ def cmd_hunt(args) -> int:
     print(f"hunted {len(report.cells)} cells -> {jsonl}")
     for status, count in sorted(report.statuses.items()):
         print(f"  {status}: {count}")
-    bad = report.counterexamples + [c for c in report.cells if c.status == "error"]
+    bad = report.counterexamples + [c for c in report.cells if c.status == CELL_ERROR]
     for c in bad:
         print(f"  !! {c.cell}: {c.status} found_max={c.found_max} bound={c.conjectured_bound}")
     return 1 if bad else 0

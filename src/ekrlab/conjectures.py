@@ -25,6 +25,7 @@ import csv
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -32,6 +33,7 @@ from typing import Iterator, NamedTuple
 
 from .bounds import (
     _nontrivial_term,
+    _require_half,
     _two_sided_term,
     nontrivial_bound,
     two_sided_bound,
@@ -307,8 +309,7 @@ def max_cross_intersecting(n: int, k: int, budget: SearchBudget | None = None) -
     order and only a strictly larger total replaces it, so ties keep the
     earliest.  The node limit counts pairs, under ``SearchBudget.exceeded``.
     """
-    if k < 1 or 2 * k > n:
-        raise ValueError(f"needs 1 <= k and 2k <= n, got n={n}, k={k}")
+    _require_half(n, k)
     start = time.perf_counter()
     budget = budget or SearchBudget()
     u = Universe(n, 0)
@@ -394,8 +395,11 @@ class ParameterGrid:
 
     def __post_init__(self) -> None:
         for c in self.cells:
-            if 2 * c.k > c.n1 or 2 * c.l > c.n2:
-                raise ValueError(f"cell {c} violates 2k <= n1, 2l <= n2")
+            try:  # the rule both ceilings apply, so no cell becomes an error record
+                _require_half(c.n1, c.k)
+                _require_half(c.n2, c.l)
+            except ValueError:
+                raise ValueError(f"cell {list(c)} needs 1 <= k, 2k <= n1, 1 <= l, 2l <= n2") from None
         SearchBudget(self.node_limit, self.time_limit_s)  # rejects zero and negative limits
 
     @classmethod
@@ -408,18 +412,23 @@ class ParameterGrid:
         """The grid a JSON object gives; a malformed one raises ValueError naming the key or cell."""
         if not isinstance(data, dict):
             raise ValueError(f"a grid must be a JSON object, got {data!r}")
+        keys = ("cells", "node_limit", "time_limit_ms", "n1_range", "n2_range", "k_range", "l_range")
+        if unknown := [x for x in data if x not in keys]:
+            raise ValueError(f"unknown grid key {unknown[0]!r}; known keys: {', '.join(keys)}")
         node_limit, tl = data.get("node_limit"), data.get("time_limit_ms")
         if node_limit is not None and type(node_limit) is not int:
             raise ValueError(f"node_limit must be an integer, got {node_limit!r}")
         if tl is not None and (type(tl) not in (int, float) or tl <= 0):
             raise ValueError(f"time_limit_ms must be positive milliseconds, got {tl!r}")
+        ranges = keys[3:]
         if "cells" in data:
+            if any(x in data for x in ranges):
+                raise ValueError("a grid gives cells or ranges, not both")
             if not isinstance(data["cells"], list):
                 raise ValueError(f"cells must be a list, got {data['cells']!r}")
             cells = tuple(GridCell(*_ints(c, "cell", 4)) for c in data["cells"])
         else:
-            keys = ("n1_range", "n2_range", "k_range", "l_range")
-            n1s, n2s, ks, ls = (range(a, b + 1) for a, b in (_ints(data.get(x), x, 2) for x in keys))
+            n1s, n2s, ks, ls = (range(a, b + 1) for a, b in (_ints(data.get(x), x, 2) for x in ranges))
             cells = tuple(GridCell(n1, n2, k, l) for n1 in n1s for n2 in n2s
                           for k in ks if 2 * k <= n1 for l in ls if 2 * l <= n2)
         return cls(cells, node_limit, None if tl is None else tl / 1000.0)
@@ -435,6 +444,9 @@ COUNTEREXAMPLE = "counterexample"
 BUDGET_EXHAUSTED = "budget_exhausted"
 VACUOUS = "vacuous"
 CELL_ERROR = "error"
+# the hunt CSV's columns, each read from the record's to_json()
+_CSV_COLUMNS = ("conjecture", "n1", "n2", "k", "l", "found_max", "conjectured_bound",
+                "construction_size", "status")
 
 
 @dataclass(frozen=True)
@@ -471,6 +483,14 @@ class CellResult:
         if self.error is not None:
             out["error"] = self.error
         return out
+
+    @classmethod
+    def from_json(cls, rec: dict) -> "CellResult":
+        """The result ``to_json`` gave ``rec``; ``elapsed_s`` keeps its microseconds."""
+        return cls(rec["conjecture"], GridCell(rec["n1"], rec["n2"], rec["k"], rec["l"]),
+                   rec["found_max"], rec["conjectured_bound"], rec["construction_size"],
+                   rec["status"], rec["proven_optimal"], rec["nodes"],
+                   rec.get("elapsed_ms", 0.0) / 1000.0, rec.get("witness"), rec.get("error"))
 
 
 def evaluate_cell(conjecture: int, cell: GridCell, node_limit: int | None = None,
@@ -511,17 +531,14 @@ class HuntReport:
 
     @property
     def statuses(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for c in self.cells:
-            out[c.status] = out.get(c.status, 0) + 1
-        return out
+        return dict(Counter(c.status for c in self.cells))
 
     @property
     def counterexamples(self) -> list[CellResult]:
         return [c for c in self.cells if c.status == COUNTEREXAMPLE]
 
 
-def _read_completed(jsonl_path: str, conjecture: int) -> dict[GridCell, dict]:
+def _read_completed(jsonl_path: str, conjecture: int) -> dict[GridCell, CellResult]:
     """The finished cells of a JSON-lines file, by their last record.
 
     A sweep killed mid-write leaves an unterminated last line.  When it does
@@ -548,9 +565,10 @@ def _read_completed(jsonl_path: str, conjecture: int) -> dict[GridCell, dict]:
                 continue
             rec = json.loads(line)
             if rec.get("conjecture") == conjecture:
-                done[GridCell(rec["n1"], rec["n2"], rec["k"], rec["l"])] = rec
+                res = CellResult.from_json(rec)
+                done[res.cell] = res
     # a cell's last record counts; an error there leaves the cell pending
-    return {c: rec for c, rec in done.items() if rec["status"] != CELL_ERROR}
+    return {c: res for c, res in done.items() if res.status != CELL_ERROR}
 
 
 def _evaluate_args(args: tuple) -> CellResult:
@@ -567,8 +585,7 @@ def _evaluate_cells(conjecture: int, grid: ParameterGrid, cells: list[GridCell],
         with mp.Pool(workers) as pool:
             yield from pool.imap(_evaluate_args, args)
     else:
-        for a in args:
-            yield evaluate_cell(*a)
+        yield from map(_evaluate_args, args)
 
 
 def hunt(grid: ParameterGrid, conjecture: int, jsonl_path: str,
@@ -588,25 +605,12 @@ def hunt(grid: ParameterGrid, conjecture: int, jsonl_path: str,
         os.remove(jsonl_path)
     pending = [c for c in grid.cells if c not in done]
 
-    results: dict[GridCell, CellResult] = {}
     with open(jsonl_path, "a", encoding="utf-8") as fh:
         for res in _evaluate_cells(conjecture, grid, pending, workers):
             fh.write(json.dumps(res.to_json(), sort_keys=True) + "\n")
             fh.flush()
-            results[res.cell] = res
-
-    report_cells = []
-    for c in grid.cells:
-        if c in results:
-            report_cells.append(results[c])
-        else:
-            rec = done[c]
-            report_cells.append(CellResult(
-                conjecture, c, rec["found_max"], rec["conjectured_bound"],
-                rec["construction_size"], rec["status"], rec["proven_optimal"],
-                rec["nodes"], rec.get("elapsed_ms", 0.0) / 1000.0,
-                rec.get("witness"), rec.get("error")))
-    report = HuntReport(conjecture, report_cells)
+            done[res.cell] = res
+    report = HuntReport(conjecture, [done[c] for c in grid.cells])
 
     if csv_path:
         _write_csv(csv_path, report)
@@ -622,11 +626,10 @@ def _write_csv(csv_path: str, report: HuntReport) -> None:
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["conjecture", "n1", "n2", "k", "l",
-                             "found_max", "conjectured_bound", "construction_size", "status"])
+            writer.writerow(_CSV_COLUMNS)
             for c in report.cells:
-                writer.writerow([c.conjecture, c.cell.n1, c.cell.n2, c.cell.k, c.cell.l,
-                                 c.found_max, c.conjectured_bound, c.construction_size, c.status])
+                rec = c.to_json()
+                writer.writerow([rec[x] for x in _CSV_COLUMNS])
         os.replace(tmp, csv_path)
     except BaseException:
         if os.path.exists(tmp):

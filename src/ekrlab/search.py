@@ -562,10 +562,9 @@ class BoundAttainment:
         }
 
 
-def verify_bound_attainment(u: Universe, profiles, budget: SearchBudget | None = None,
-                            **kwargs) -> BoundAttainment:
+def verify_bound_attainment(u: Universe, profiles) -> BoundAttainment:
     """Compare the exact search maximum with the star bound for these parameters."""
-    result = max_intersecting(u, profiles, Constraint.ANY, budget, **kwargs)
+    result = max_intersecting(u, profiles, Constraint.ANY)
     bound = star_bound(u, profiles)
     return BoundAttainment(
         search_max=result.max_size,

@@ -289,8 +289,14 @@ class TestHuntCommand:
         {"cells": [[4, 4, 2, 2]], "node_limit": "5"},
         {"cells": [[4, 4, 2, 2]], "time_limit_ms": "5"},
         [1, 2],
+        {"cells": [[4, 4, 2, 2]], "nodelimit": 5},
+        {"cells": [[4, 4, 2, 2]], "n1_range": [2, 3]},
+        {"cells": [[4, 4, 0, 1]]},
+        {"cells": [[4, 4, -1, 2]]},
+        {"n1_range": [2, 3], "n2_range": [2, 3], "k_range": [0, 1], "l_range": [1, 1]},
     ], ids=["short-cell", "string-in-cell", "missing-ranges", "string-node-limit",
-            "string-time-limit", "top-level-list"])
+            "string-time-limit", "top-level-list", "unknown-key", "cells-and-ranges",
+            "zero-k", "negative-k", "zero-k-range"])
     def test_malformed_grid_is_a_usage_error(self, capsys, tmp_path, data):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps(data))

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +10,11 @@ from ekrlab import conjectures
 from ekrlab.bounds import binomial, cross_bound, hm_bound, nontrivial_bound, two_sided_bound
 from ekrlab.conjectures import (
     BUDGET_EXHAUSTED,
+    CELL_ERROR,
     CONFIRMED,
     COUNTEREXAMPLE,
     VACUOUS,
+    CellResult,
     ConstructionKind,
     ConstructionSpec,
     GridCell,
@@ -228,6 +232,12 @@ class TestCrossIntersecting:
         with pytest.raises(ValueError):
             cross_oracle(6, 2)
 
+    def test_precondition_is_the_ceilings_rule(self):
+        # the same rule and message as cross_bound's
+        for call in (max_cross_intersecting, cross_bound):
+            with pytest.raises(ValueError, match=re.escape("needs 1 <= k and 2k <= n, got n=3, k=2")):
+                call(3, 2)
+
 
 @st.composite
 def bipartite_graphs(draw):
@@ -287,6 +297,28 @@ class TestGrid:
     def test_invalid_cell_rejected(self):
         with pytest.raises(ValueError):
             ParameterGrid.from_json({"cells": [[3, 4, 2, 2]]})
+
+    @pytest.mark.parametrize("data, cell", [
+        ({"cells": [[4, 4, 0, 1]]}, [4, 4, 0, 1]),
+        ({"cells": [[4, 4, -1, 2]]}, [4, 4, -1, 2]),
+        ({"cells": [[4, 4, 2, 0]]}, [4, 4, 2, 0]),
+        ({"n1_range": [2, 3], "n2_range": [2, 3], "k_range": [0, 1], "l_range": [1, 1]},
+         [2, 2, 0, 1]),
+    ], ids=["zero-k", "negative-k", "zero-l", "zero-k-range"])
+    def test_cell_rule_is_the_ceilings_rule(self, data, cell):
+        # such cells once loaded and each became an error record, failing the hunt
+        with pytest.raises(ValueError, match=re.escape(f"cell {cell} needs 1 <= k")):
+            ParameterGrid.from_json(data)
+        with pytest.raises(ValueError, match=re.escape(f"cell {cell} needs 1 <= k")):
+            ParameterGrid((GridCell(*cell),))
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"nodelimit": 5}, "^unknown grid key 'nodelimit'"),  # once ran with no limit
+        ({"n1_range": [2, 3]}, "^a grid gives cells or ranges, not both"),  # once ignored
+    ], ids=["unknown-key", "cells-and-ranges"])
+    def test_grid_keys_checked(self, extra, message):
+        with pytest.raises(ValueError, match=message):
+            ParameterGrid.from_json({"cells": [[4, 4, 2, 2]], **extra})
 
     @pytest.mark.parametrize("budget", [{"node_limit": 0}, {"node_limit": -3},
                                         {"time_limit_ms": 0}, {"time_limit_ms": -5}])
@@ -369,6 +401,31 @@ class TestEvaluateCell:
             for conj in (1, 2):
                 res = evaluate_cell(conj, cell)
                 assert res.found_max >= res.construction_size
+
+
+# one record per status, from the code path that writes it
+_RECORDS = {
+    CONFIRMED: lambda: evaluate_cell(1, GridCell(4, 4, 2, 2)),
+    COUNTEREXAMPLE: lambda: evaluate_cell(1, GridCell(5, 5, 2, 2)),
+    BUDGET_EXHAUSTED: lambda: evaluate_cell(1, GridCell(4, 4, 2, 2), node_limit=1),
+    VACUOUS: lambda: evaluate_cell(2, GridCell(2, 2, 1, 1)),
+    CELL_ERROR: lambda: CellResult(1, GridCell(4, 4, 2, 2), 0, 0, 0, CELL_ERROR, False, 0,
+                                   0.0123456789, None, "RuntimeError: worker died"),
+}
+
+
+class TestCellRecord:
+    @pytest.mark.parametrize("status", list(_RECORDS))
+    def test_from_json_inverts_to_json(self, status):
+        res = _RECORDS[status]()
+        assert res.status == status
+        assert (res.witness is not None) == (status == COUNTEREXAMPLE)
+        assert (res.error is not None) == (status == CELL_ERROR)
+        back = CellResult.from_json(json.loads(json.dumps(res.to_json(), sort_keys=True)))
+        # equal apart from elapsed_s, which the record keeps to the microsecond
+        assert back == dataclasses.replace(res, elapsed_s=back.elapsed_s)
+        assert back.elapsed_s == pytest.approx(res.elapsed_s, abs=1e-6)
+        assert back.to_json() == res.to_json()
 
 
 class TestHuntPersistence:
@@ -459,7 +516,7 @@ class TestHuntPersistence:
     def test_interrupted_sweep_keeps_finished_cells(self, tmp_path, monkeypatch):
         grid = ParameterGrid((GridCell(2, 2, 1, 1), GridCell(3, 3, 1, 1), GridCell(4, 4, 2, 2),
                               GridCell(4, 4, 1, 2), GridCell(5, 4, 2, 2)))
-        fresh = hunt(grid, 2, str(tmp_path / "fresh.jsonl"))
+        fresh = hunt(grid, 2, str(tmp_path / "fresh.jsonl"), str(tmp_path / "fresh.csv"))
         jsonl = str(tmp_path / "hunt.jsonl")
         real = conjectures.evaluate_cell
         calls = []
@@ -476,12 +533,13 @@ class TestHuntPersistence:
         monkeypatch.setattr(conjectures, "evaluate_cell", real)
         lines = [json.loads(line) for line in open(jsonl)]
         assert [(r["n1"], r["n2"], r["k"], r["l"]) for r in lines] == list(grid.cells[:3])
-        resumed = hunt(grid, 2, jsonl, resume=True)
+        resumed = hunt(grid, 2, jsonl, str(tmp_path / "hunt.csv"), resume=True)
 
         def summary(report):
             return [(c.cell, c.found_max, c.status, c.nodes) for c in report.cells]
 
         assert summary(resumed) == summary(fresh)
+        assert (tmp_path / "hunt.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
         lines = [json.loads(line) for line in open(jsonl)]
         assert [(r["n1"], r["n2"], r["k"], r["l"]) for r in lines] == list(grid.cells)
 
