@@ -106,6 +106,8 @@ def _nontrivial_term(n: int, k: int, m: int, l: int) -> int:
 
 def _two_sided_term(n: int, k: int, m: int, l: int) -> int:
     """The two-step construction anchored in the n-part (k-sets) with free m-part (l-sets)."""
+    _require_half(n, k)
+    _require_half(m, l)
     return (binomial(n - 1, k - 1) - binomial(n - k - 1, k - 1)) * binomial(m, l) \
         + 1 + binomial(m, l) - binomial(m - l, l)
 

@@ -44,7 +44,6 @@ from .families import (
     Family,
     Profile,
     Universe,
-    is_intersecting,
     iter_bits,
     mask_of,
     sort_key,
@@ -131,8 +130,20 @@ def canonical_spec(kind: ConstructionKind, u: Universe, p: tuple[int, int]) -> C
                             tuple(range(x + a, x + 2 * a)), tuple(range(x, x + a)))
 
 
+def _require_universe(kind: ConstructionKind, u: Universe) -> None:
+    """A one-part kind leaves X2 empty, so it needs a one-part universe."""
+    if _KINDS[kind][1] is None and u.n2 != 0:
+        raise ValueError("one-part construction needs n2 = 0")
+
+
 def expected_construction_size(kind: ConstructionKind, u: Universe, p: tuple[int, int]) -> int:
-    """Closed form for the construction size: its class's bound term at (anchor, free) sizes."""
+    """Closed form for the construction size: its class's bound term at (anchor, free) sizes.
+
+    A kind whose construction cannot exist in u (a part it needs is
+    missing, or a part it leaves empty is not) raises ValueError, as
+    ``build_construction`` does.
+    """
+    _require_universe(kind, u)
     anchor, a, free, f = _parts(kind, u, p)
     term = _nontrivial_term if _KINDS[kind][2] is Constraint.NONTRIVIAL else _two_sided_term
     return term(len(anchor), a, len(free), f)
@@ -145,9 +156,8 @@ def build_construction(spec: ConstructionSpec) -> Family:
     free set, plus K + L, plus L' + every free set meeting K.
     """
     u, kind = spec.universe, spec.kind
-    _, free_part, constraint = _KINDS[kind]
-    if free_part is None and u.n2 != 0:
-        raise ValueError("one-part construction needs n2 = 0")
+    constraint = _KINDS[kind][2]
+    _require_universe(kind, u)
     anchor, a, free, f = _parts(kind, u, spec.profile)
     xbit, kmask = 1 << spec.x, mask_of(spec.k_set)
     free_sets = [mask_of(sub) for sub in combinations(free, f)]
@@ -159,7 +169,9 @@ def build_construction(spec: ConstructionSpec) -> Family:
     sets = [m | b for sub in combinations(anchor, a)
             if (m := mask_of(sub)) & xbit and m & meet for b in free_sets]
     fam = Family(u, tuple(sorted(set(sets + extra), key=sort_key)))
-    if not is_intersecting(fam):
+    # intersecting: every member's meet row, with its own bit, covers the family
+    everyone = (1 << len(fam.sets)) - 1
+    if any(row | 1 << i != everyone for i, row in enumerate(meet_rows(u, fam.sets))):
         raise ValueError(f"{kind.value} construction is not intersecting")
     if not _satisfies(fam, constraint):
         what = "trivially intersecting" if constraint is Constraint.NONTRIVIAL else "not two-sided"
@@ -394,12 +406,16 @@ class ParameterGrid:
     time_limit_s: float | None = None
 
     def __post_init__(self) -> None:
+        seen = set()
         for c in self.cells:
             try:  # the rule both ceilings apply, so no cell becomes an error record
                 _require_half(c.n1, c.k)
                 _require_half(c.n2, c.l)
             except ValueError:
                 raise ValueError(f"cell {list(c)} needs 1 <= k, 2k <= n1, 1 <= l, 2l <= n2") from None
+            if c in seen:  # it would be solved and reported twice
+                raise ValueError(f"cell {list(c)} is listed twice")
+            seen.add(c)
         SearchBudget(self.node_limit, self.time_limit_s)  # rejects zero and negative limits
 
     @classmethod

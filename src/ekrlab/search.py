@@ -34,6 +34,14 @@ of classes) meeting the neighbours of v (fixed by the child's smaller
 group).  A later root's candidates are cut to the vertices after it in
 the order, which breaks the invariant, so it branches plainly.
 
+The classes are refined incrementally.  A child's atoms are its parent's
+atoms split by v, and a set's count in a - v is its count in a minus its
+count in the cut a & v.  So a node takes its parent's classes, cuts them to
+its own candidates and splits them by the count in each cut of v: it reads
+at most k + l elements, not all n1 + n2.  It does so only once a candidate
+passes the colour bound, so a pruned node never pays, and it hands its
+classes down to its children.
+
 Every node also prunes by neighbourhood dominance.  Before branching on v
 it takes v's child candidates pv = p & adj[v]; when some vertex a that was
 branched on earlier is adjacent to v and to all of pv, v (its class,
@@ -49,6 +57,10 @@ a side only grow).  a's finished subtree has raised the incumbent to at
 least that size, so v's subtree can neither beat nor tie it: the maximum,
 the witness and when the incumbent changes are the same as without the
 rule.
+
+The depth-first search uses no recursion: it runs on an explicit stack
+of per-node generators, each yielding its children in branch order, so a
+clique may be as deep as the candidate list.
 
 A plain subset-enumeration oracle, which never looks at the graph, backs
 the solver for small instances.
@@ -226,19 +238,20 @@ def _bucket_remove(buckets: dict[int, int], d: int, bits: int) -> None:
         del buckets[d]
 
 
-def _orbit_classes(p: int, atoms, inc) -> list[int]:
-    """Split the vertex bitset p into orbits of the atom group.
+def _orbit_classes(classes, p: int, parts, inc) -> list[int]:
+    """Cut the classes to the vertex bitset p, then split them by each vertex's count in every part.
 
-    The atoms are disjoint element bitsets, and the atom group permutes
-    the elements inside each atom.  Two sets lie in one orbit exactly when
-    they meet every atom in the same number of elements, so p is refined
-    atom by atom over the incidence rows inc[e] = S_e: while an atom's
-    elements are read, level c holds the vertices of p with c of them.
+    The parts are disjoint element bitsets and inc[e] = S_e the incidence
+    rows: while a part's elements are read, level c holds the vertices of p
+    with c of them.  From ``[p]`` and a clique's atoms this gives the orbits
+    of the atom group on p, since two sets lie in one orbit exactly when
+    they meet every atom in the same number of elements; from the parent's
+    classes and the cuts of v it gives the same (see the module docstring).
     """
-    classes = [p]
-    for atom in atoms:
+    classes = [d for c in classes if (d := c & p)]
+    for part in parts:
         levels = [p]
-        for e in iter_bits(atom):
+        for e in iter_bits(part):
             s = inc[e]
             levels = [a & ~s | b & s for a, b in zip(levels + [0], [0] + levels)]
         classes = [c & lv for c in classes for lv in levels if c & lv]
@@ -246,15 +259,23 @@ def _orbit_classes(p: int, atoms, inc) -> list[int]:
 
 
 def _split_atoms(atoms, vmask: int):
-    """The atoms of R + v: every atom of R split by v, or None when all are singletons."""
+    """The atoms of R + v and the cuts of v, or None when all atoms are singletons.
+
+    Every atom a of R splits into a & v and a - v; the cuts are the parts
+    a & v of the atoms that v splits in two.
+    """
     out = []
+    cuts = []
     wide = False
     for a in atoms:
-        for part in (a & vmask, a & ~vmask):
+        inside = a & vmask
+        if inside and inside != a:
+            cuts.append(inside)
+        for part in (inside, a ^ inside):
             if part:
                 out.append(part)
                 wide = wide or bool(part & (part - 1))
-    return tuple(out) if wide else None
+    return (tuple(out), tuple(cuts)) if wide else None
 
 
 class _CliqueSearch:
@@ -321,29 +342,38 @@ class _CliqueSearch:
         return order
 
     def _expand(self, rbits: int, rsize: int, and_all: int, miss1: bool, miss2: bool,
-                p: int, atoms, above: int = 0) -> None:
-        """Branch on the candidates p of the clique R (bitset rbits, rsize members).
+                p: int, orbit=None, above: int = 0) -> None:
+        """Search the subtree of the clique R depth first, on an explicit stack.
 
-        and_all is the intersection of R's sets; miss1 / miss2 record that
-        some pair of R already misses X1 / X2.  atoms, when not None, are
-        R's atoms and p is a union of their orbit classes: after branching
-        on v, v's whole class leaves p (orbital branching).
+        The stack holds one ``_branch`` generator per clique on the current
+        path that has a candidate to branch on; each yields its children's
+        generators in branch order, so the depth of the clique costs no
+        Python recursion.
+        """
+        order = self._open(rsize, and_all, miss1, miss2, p)
+        if not order:
+            return
+        stack = [self._branch(order, rbits, rsize, and_all, miss1, miss2, p, orbit, above)]
+        push, pop = stack.append, stack.pop
+        while stack:
+            for child in stack[-1]:
+                push(child)
+                break
+            else:
+                pop()
 
-        above holds the vertices that ancestors branched on before the
-        branch that leads here and that are adjacent to every vertex added
-        since.  v is dropped unbranched when an earlier branch a, of this
-        node or in above, has v and all of v's candidates pv as neighbours:
-        R + a + v + any clique in pv is a larger clique that a's subtree
-        already covered, and it is valid since the constraints are
-        monotone, so v's subtree holds no clique of the incumbent's size.
-        v's child inherits the members of above and of this node's earlier
-        branches that are adjacent to v.
+    def _open(self, rsize: int, and_all: int, miss1: bool, miss2: bool, p: int) -> list:
+        """Count the node of the clique R and colour its candidates p.
+
+        The result is the colour order of the candidates that pass the
+        colour bound; it is empty when the node is pruned.  and_all is the
+        intersection of R's sets; miss1 / miss2 record that some pair of R
+        already misses X1 / X2.
         """
         self._tick()
         if not p:
-            return
-        constraint = self.constraint
-        if constraint is not Constraint.ANY:
+            return []
+        if self.constraint is not Constraint.ANY:
             # an element e of and_all that every candidate contains (p misses
             # avoid[e]) stays in every extension's intersection: prune, unless
             # a pair already misses e's side
@@ -356,14 +386,40 @@ class _CliqueSearch:
             while live:
                 low = live & -live
                 if not p & avoid[low.bit_length() - 1]:
-                    return
+                    return []
                 live ^= low
-        two_sided = constraint is Constraint.TWO_SIDED
+        return self._color_order(p, self.best - rsize + 1)
+
+    def _branch(self, order, rbits: int, rsize: int, and_all: int, miss1: bool, miss2: bool,
+                p: int, orbit, above: int):
+        """Branch on the candidates p of the clique R (bitset rbits, rsize members) in colour order.
+
+        Each child is opened here, and yielded as a generator only when it
+        has a candidate to branch on.  orbit, when not None, is (atoms,
+        cuts, classes): R's atoms, the cuts of R's last vertex and the
+        parent's classes, and p is a union of R's orbit classes.  The node
+        refines its own classes from them before its first branch (a node
+        pruned at ``_open`` never pays), and after branching on v, v's
+        whole class leaves p (orbital branching).
+
+        above holds the vertices that ancestors branched on before the
+        branch that leads here and that are adjacent to every vertex added
+        since.  v is dropped unbranched when an earlier branch a, of this
+        node or in above, has v and all of v's candidates pv as neighbours:
+        R + a + v + any clique in pv is a larger clique that a's subtree
+        already covered, and it is valid since the constraints are
+        monotone, so v's subtree holds no clique of the incumbent's size.
+        v's child inherits the members of above and of this node's earlier
+        branches that are adjacent to v.
+        """
+        if orbit is not None:
+            atoms, cuts, classes = orbit
+            classes = _orbit_classes(classes, p, cuts, self.inc)
+        two_sided = self.constraint is Constraint.TWO_SIDED
         adj, masks, nonadj = self.adj, self.masks, self.nonadj
         csize = rsize + 1
-        classes = None
         done = 0  # the vertices this node has branched on
-        for v, color in reversed(self._color_order(p, self.best - rsize + 1)):
+        for v, color in reversed(order):
             if rsize + color <= self.best:
                 return
             bit = 1 << v
@@ -384,13 +440,16 @@ class _CliqueSearch:
                 child = rbits | bit
                 if csize >= self.best and self._valid(child_and, cm1, cm2):
                     self.offer(csize, tuple(iter_bits(child)))
-                child_atoms = None if atoms is None else _split_atoms(atoms, masks[v])
-                self._expand(child, csize, child_and, cm1, cm2, pv, child_atoms, carry)
-            if atoms is None:
+                child_order = self._open(csize, child_and, cm1, cm2, pv)
+                if child_order:
+                    child_orbit = None
+                    if orbit is not None and (split := _split_atoms(atoms, masks[v])):
+                        child_orbit = (*split, classes)
+                    yield self._branch(child_order, child, csize, child_and, cm1, cm2, pv,
+                                       child_orbit, carry)
+            if orbit is None:
                 p ^= bit
             else:  # v's whole class leaves p
-                if classes is None:  # first needed here: a pruned node never pays for it
-                    classes = _orbit_classes(p, atoms, self.inc)
                 p ^= next(c for c in classes if c & bit)
 
     def _valid(self, and_all: int, miss1: bool, miss2: bool) -> bool:
@@ -411,8 +470,8 @@ class _CliqueSearch:
             for i, v in enumerate(order):
                 pos[v] = i
             parts = (self.x1m, self.x2m)
-            eligible = {min(iter_bits(c), key=pos.__getitem__)
-                        for c in _orbit_classes(suffix, parts, self.inc)}
+            profile_classes = _orbit_classes([suffix], suffix, parts, self.inc)
+            eligible = {min(iter_bits(c), key=pos.__getitem__) for c in profile_classes}
         completed = True
         try:
             if self.budget.exceeded(0, self.start):
@@ -428,10 +487,10 @@ class _CliqueSearch:
                     self.offer(1, (v,))
                 # below the position-0 root p is every neighbour of v, closed
                 # under v's stabiliser, so orbital branching is sound there
-                atoms = None
-                if eligible is not None and v == order[0]:
-                    atoms = _split_atoms(parts, vmask)
-                self._expand(bit, 1, vmask, False, False, self.adj[v] & suffix, atoms)
+                orbit = None
+                if eligible is not None and v == order[0] and (split := _split_atoms(parts, vmask)):
+                    orbit = (*split, profile_classes)
+                self._expand(bit, 1, vmask, False, False, self.adj[v] & suffix, orbit)
         except _BudgetExhausted:
             completed = False
         return completed, self.nodes

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ekrlab.bounds import (
+    _two_sided_term,
     binomial,
     cross_bound,
     ekr_bound,
@@ -75,6 +76,13 @@ def test_preconditions_raise():
         nontrivial_bound(Universe(3, 4), (2, 2))
     with pytest.raises(ValueError):
         two_sided_bound(Universe(4, 3), (2, 2))
+
+
+@pytest.mark.parametrize("n,k,m,l", [(4, 2, 0, 0), (0, 0, 4, 2), (4, 3, 4, 2), (4, 2, 3, 2)])
+def test_two_sided_term_needs_both_halves(n, k, m, l):
+    # the term once gave a size for a missing part, as in the one-part universe (4, 0)
+    with pytest.raises(ValueError, match="needs 1 <= k and 2k <= n"):
+        _two_sided_term(n, k, m, l)
 
 
 def test_star_bound_proven_flag():

@@ -109,6 +109,13 @@ class TestSearchCommand:
                                "--profiles", "2,2", "--time-limit-ms", "0")
         assert code == 2 and "--time-limit-ms must be positive" in err
 
+    def test_clique_deeper_than_the_recursion_limit(self, capsys):
+        code, out, err = run_cli(capsys, "search-max", "--n1", "13", "--profiles", "7",
+                                 "--format", "json")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["max_size"] == 1716 and data["proven_optimal"] is True
+
     def test_deterministic_output_excluding_elapsed(self, capsys):
         args = ("search-max", "--n1", "4", "--n2", "4", "--profiles", "2,2",
                 "--format", "json")
@@ -294,9 +301,10 @@ class TestHuntCommand:
         {"cells": [[4, 4, 0, 1]]},
         {"cells": [[4, 4, -1, 2]]},
         {"n1_range": [2, 3], "n2_range": [2, 3], "k_range": [0, 1], "l_range": [1, 1]},
+        {"cells": [[4, 4, 2, 2], [4, 4, 2, 2]]},
     ], ids=["short-cell", "string-in-cell", "missing-ranges", "string-node-limit",
             "string-time-limit", "top-level-list", "unknown-key", "cells-and-ranges",
-            "zero-k", "negative-k", "zero-k-range"])
+            "zero-k", "negative-k", "zero-k-range", "repeated-cell"])
     def test_malformed_grid_is_a_usage_error(self, capsys, tmp_path, data):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps(data))

@@ -127,7 +127,7 @@ class TestConstructionPin:
     # sha256 over every cell's canonical spec fields, closed-form size and
     # built family (or error type) per kind, and feasible kinds and best
     # construction per conjecture; recorded with one `if` chain per kind
-    DIGEST = "7dd83e4f5a463055141bdc31f7ddec0f4b06ccd7f61a33e2c3d131cbeb5247df"
+    DIGEST = "51bf0712fd115037a09f72339473e8c00523dce238db5beb2a819256fb2afe80"
 
     def test_constructions_match_pinned_digest(self):
         h = hashlib.sha256()
@@ -163,6 +163,17 @@ class TestConstructionPin:
         # leaves empty: a ValueError, never an IndexError from an empty part
         with pytest.raises(ValueError):
             build_construction(canonical_spec(kind, u, p))
+
+    @pytest.mark.parametrize("kind,u,p", [
+        (ConstructionKind.NONTRIVIAL_X2, Universe(4, 0), (2, 0)),
+        (ConstructionKind.TWO_SIDED_X1, Universe(4, 0), (2, 0)),
+        (ConstructionKind.TWO_SIDED_X2, Universe(4, 0), (2, 0)),
+        (ConstructionKind.HM_ONE_PART, Universe(4, 4), (2, 2)),
+    ])
+    def test_no_size_for_a_kind_outside_its_universe(self, kind, u, p):
+        # these once gave 3, 3, 6 and 3: sizes of constructions that cannot exist
+        with pytest.raises(ValueError):
+            expected_construction_size(kind, u, p)
 
 
 class TestCrossIntersecting:
@@ -311,6 +322,14 @@ class TestGrid:
             ParameterGrid.from_json(data)
         with pytest.raises(ValueError, match=re.escape(f"cell {cell} needs 1 <= k")):
             ParameterGrid((GridCell(*cell),))
+
+    def test_repeated_cell_rejected(self):
+        # such a cell was once solved twice and written as two JSON lines
+        message = re.escape("cell [4, 4, 2, 2] is listed twice")
+        with pytest.raises(ValueError, match=message):
+            ParameterGrid.from_json({"cells": [[4, 4, 2, 2], [3, 3, 1, 1], [4, 4, 2, 2]]})
+        with pytest.raises(ValueError, match=message):
+            ParameterGrid((GridCell(4, 4, 2, 2), GridCell(4, 4, 2, 2)))
 
     @pytest.mark.parametrize("extra, message", [
         ({"nodelimit": 5}, "^unknown grid key 'nodelimit'"),  # once ran with no limit

@@ -198,6 +198,12 @@ class TestPinnedTree:
         assert r.proven_optimal
         assert (r.nodes, r.max_size, _digest(r)) == (3074, 196, "b0f0d9bd51b031ce")
 
+    def test_clique_deeper_than_the_recursion_limit(self):
+        # the 1,716 7-sets of 13 points pairwise meet: the search path is as
+        # deep as the clique, far past Python's default recursion limit
+        r = max_intersecting(Universe(13, 0), [(7, 0)])
+        assert (r.max_size, r.proven_optimal, r.nodes) == (1716, True, 5147)
+
 
 def _naive_degeneracy_order(adj):
     """Reference definition: minimum live degree, ties to the smaller index."""
@@ -404,6 +410,14 @@ def _atoms_from_scratch(u, sets):
     return sorted(blocks.values())
 
 
+def _group(p, orbit):
+    """The vertices of p grouped by orbit id."""
+    want = {}
+    for v in iter_bits(p):
+        want[orbit[v]] = want.get(orbit[v], 0) | 1 << v
+    return sorted(want.values())
+
+
 class TestOrbitClasses:
     @given(instances(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -414,11 +428,9 @@ class TestOrbitClasses:
         atoms = _atoms_from_scratch(u, sets)
         p = data.draw(st.integers(0, (1 << g.size) - 1))
         orbit = reference_orbits(g.vertices, atoms)
-        want = {}
-        for v in iter_bits(p):
-            want[orbit[v]] = want.get(orbit[v], 0) | 1 << v
-        got = _orbit_classes(p, atoms, element_incidence(u, g.vertices))
-        assert sorted(got) == sorted(want.values())
+        # refined from the one class of all vertices, cut to p
+        got = _orbit_classes([(1 << g.size) - 1], p, atoms, element_incidence(u, g.vertices))
+        assert sorted(got) == _group(p, orbit)
 
     @given(instances(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -428,12 +440,47 @@ class TestOrbitClasses:
         sets = data.draw(st.lists(st.sampled_from(g.vertices), min_size=1, max_size=3))
         atoms = _atoms_from_scratch(u, [])
         for i in range(len(sets)):
-            atoms = _split_atoms(atoms, sets[i])
+            split = _split_atoms(atoms, sets[i])
             want = _atoms_from_scratch(u, sets[:i + 1])
-            if atoms is None:  # only singletons left: the atom group is trivial
+            if split is None:  # only singletons left: the atom group is trivial
                 assert all(a & (a - 1) == 0 for a in want)
                 break
+            cuts = [a & sets[i] for a in atoms if a & sets[i] not in (0, a)]
+            atoms = split[0]
             assert sorted(atoms) == want
+            assert sorted(split[1]) == sorted(cuts)
+
+    @given(instances(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_refined_classes_match_scratch_along_branch_paths(self, inst, data):
+        # below the position-0 root, each node refines its parent's classes
+        # over the cuts of its last vertex; a node's candidates are its
+        # parent's, less the classes of earlier branches, meeting adj[v]
+        u, profiles = inst
+        g = build_graph(u, profiles)
+        inc = element_incidence(u, g.vertices)
+        everyone = (1 << g.size) - 1
+        if not g.size:
+            return
+        v = _degeneracy_order(g.adjacency)[0]
+        atoms, p = (u.x1_mask, u.x2_mask), everyone
+        classes = _orbit_classes([everyone], everyone, atoms, inc)
+        while True:
+            split = _split_atoms(atoms, g.vertices[v])
+            if split is None:
+                break
+            atoms, cuts = split
+            earlier = [c for c in classes if not c >> v & 1]
+            for c in data.draw(st.lists(st.sampled_from(earlier), max_size=2) if earlier
+                               else st.just([])):
+                p &= ~c
+            p &= g.adjacency[v]
+            classes = _orbit_classes(classes, p, cuts, inc)
+            assert sorted(classes) == sorted(_orbit_classes([p], p, atoms, inc))
+            assert sorted(classes) == _group(p, reference_orbits(g.vertices, atoms))
+            if not p:
+                break
+            v = data.draw(st.sampled_from(list(iter_bits(p))))
 
 
 class TestBudgetFromEntry:
