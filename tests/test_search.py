@@ -235,6 +235,18 @@ class TestSolver:
         with pytest.raises(ValueError):
             max_intersecting(u, [(2, 2)], seed=wrong_universe)
 
+    def test_graph_must_match_the_question(self):
+        # a graph of another universe once gave a "proven" 18 for (5,5),(2,2),
+        # whose maximum is 40, with a witness of profile (3,1)
+        u = Universe(5, 5)
+        with pytest.raises(ValueError, match="graph"):
+            max_intersecting(u, [(2, 2)], graph=build_graph(Universe(4, 4), [(2, 2)]))
+        # a graph of other profiles once answered the (1,1) question instead
+        with pytest.raises(ValueError, match="graph"):
+            max_intersecting(u, [(2, 2)], graph=build_graph(u, [(1, 1)]))
+        r = max_intersecting(u, [(2, 2)], graph=build_graph(u, [(2, 2)]))
+        assert (r.max_size, r.proven_optimal) == (40, True)
+
     def test_result_json_shape(self):
         r = max_intersecting(Universe(2, 2), [(1, 1)])
         data = r.to_json()

@@ -1,14 +1,21 @@
 """Pins of the clique kernel's search tree and checks of its precomputed rows.
 
-The pinned node counts, maxima and witnesses were recorded from the
+The pinned node counts, maxima and witnesses were first recorded from the
 pair-loop kernel that preceded the bitset rows, so any change to the tree
 the search visits (order, colouring, prunes, tie-breaks) shows up here.
 The symmetry-on hunt cells were re-pinned when orbital branching below
 the first root came in, when neighbourhood-dominance pruning came in, and
 when that rule was extended to vertices branched at ancestors: each time
-their node counts fell, their maxima and witnesses did not change.  The
-maxima and witnesses of all 72 default-grid cells were recorded before
-dominance pruning and hold it to the same answers.
+their node counts fell, their maxima and witnesses did not change.
+
+The node counts were re-pinned again when the search moved to the greedy
+packing numbering (``search._packed``), whose colouring bound is tighter.
+No maximum or proven flag moved, but ties now break in the search
+numbering, so some witnesses did: 10 of the 72 default-grid cells, the
+(6,5) cell and the two-profile cell.  Every witness pinned for a hunt
+cell or a new pin is re-validated with the predicates of ``families.py``
+(profile, intersection, the constraint, size), so its digest is always
+that of a valid maximum.
 Witnesses are pinned by a digest of their canonical JSON lists.
 """
 
@@ -21,8 +28,15 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ekrlab.bounds import star_bound
 from ekrlab.conjectures import ParameterGrid, best_construction, max_cross_intersecting
-from ekrlab.families import Universe
+from ekrlab.families import (
+    Universe,
+    is_intersecting,
+    is_trivially_intersecting,
+    is_two_sided_intersecting,
+    profile_of,
+)
 from ekrlab.search import (
     CompatibilityGraph,
     Constraint,
@@ -30,6 +44,7 @@ from ekrlab.search import (
     _CliqueSearch,
     _degeneracy_order,
     _orbit_classes,
+    _packed,
     _split_atoms,
     build_graph,
     element_incidence,
@@ -44,23 +59,37 @@ def _digest(result) -> str:
 
 # (conjecture, n1, n2, k, l) -> (nodes, max_size, witness digest)
 HUNT_CELLS = {
-    (1, 4, 5, 2, 2): (292, 30, "846f0f29f12dfc40"),
-    (1, 5, 4, 2, 2): (71, 30, "a8a8b5ff0b9b441f"),
-    (1, 5, 5, 2, 1): (25, 15, "dee07ee1c96f6d75"),
-    (1, 5, 5, 2, 2): (2394, 35, "596cf30760cc8af0"),
-    (2, 4, 5, 2, 2): (928, 28, "b7c72fb21f767130"),
-    (2, 5, 4, 2, 2): (513, 28, "aca5595b6f6c9377"),
-    (2, 5, 5, 2, 1): (39, 13, "b47238f5d20e8fe3"),
-    (2, 5, 5, 2, 2): (2394, 35, "596cf30760cc8af0"),
+    (1, 4, 5, 2, 2): (2, 30, "846f0f29f12dfc40"),
+    (1, 5, 4, 2, 2): (5, 30, "a8a8b5ff0b9b441f"),
+    (1, 5, 5, 2, 1): (24, 15, "dee07ee1c96f6d75"),
+    (1, 5, 5, 2, 2): (1582, 35, "5cf91f6e1521bc08"),
+    (2, 4, 5, 2, 2): (120, 28, "b7c72fb21f767130"),
+    (2, 5, 4, 2, 2): (267, 28, "aca5595b6f6c9377"),
+    (2, 5, 5, 2, 1): (35, 13, "bf4305555588816c"),
+    (2, 5, 5, 2, 2): (1582, 35, "5cf91f6e1521bc08"),
 }
+
+
+CONSTRAINT = {1: Constraint.NONTRIVIAL, 2: Constraint.TWO_SIDED}
 
 
 def _hunt_search(conjecture, n1, n2, k, l):
     """One cell searched the way hunt searches it."""
     u = Universe(n1, n2)
-    constraint = Constraint.NONTRIVIAL if conjecture == 1 else Constraint.TWO_SIDED
     seed = best_construction(conjecture, u, (k, l))
-    return max_intersecting(u, [(k, l)], constraint, seed=seed, symmetry=True)
+    return max_intersecting(u, [(k, l)], CONSTRAINT[conjecture], seed=seed, symmetry=True)
+
+
+def _assert_valid_witness(r, constraint, profiles):
+    """The witness holds max_size sets of the given profiles and satisfies the constraint."""
+    f = r.witness
+    assert len(f) == r.max_size
+    assert all(profile_of(f.universe, m) in profiles for m in f.sets)
+    assert is_intersecting(f)
+    if f.sets and constraint is Constraint.NONTRIVIAL:
+        assert not is_trivially_intersecting(f)
+    if f.sets and constraint is Constraint.TWO_SIDED:
+        assert is_two_sided_intersecting(f)
 
 
 # every default-grid cell as hunt searches it: conjecture n1 n2 k l, max_size,
@@ -71,7 +100,7 @@ GRID_PINS = """
     1 2 4 1 1  0 4f53cda18c2baa0c
     1 2 4 1 2  6 e3bd983b5430e610
     1 2 5 1 1  0 4f53cda18c2baa0c
-    1 2 5 1 2  8 aa099d993402c241
+    1 2 5 1 2  8 3bdcfb5c67fc3913
     1 3 2 1 1  0 4f53cda18c2baa0c
     1 3 3 1 1  0 4f53cda18c2baa0c
     1 3 4 1 1  0 4f53cda18c2baa0c
@@ -91,7 +120,7 @@ GRID_PINS = """
     1 4 5 2 1 15 ec37a2d6b972b537
     1 4 5 2 2 30 846f0f29f12dfc40
     1 5 2 1 1  0 4f53cda18c2baa0c
-    1 5 2 2 1  8 daf821a04bb517e9
+    1 5 2 2 1  8 60d37dd53fd24b00
     1 5 3 1 1  0 4f53cda18c2baa0c
     1 5 3 2 1  9 0f0493e419190015
     1 5 4 1 1  0 4f53cda18c2baa0c
@@ -101,7 +130,7 @@ GRID_PINS = """
     1 5 5 1 1  0 4f53cda18c2baa0c
     1 5 5 1 2 15 39709cb214990106
     1 5 5 2 1 15 dee07ee1c96f6d75
-    1 5 5 2 2 35 596cf30760cc8af0
+    1 5 5 2 2 35 5cf91f6e1521bc08
     2 2 2 1 1  0 4f53cda18c2baa0c
     2 2 3 1 1  0 4f53cda18c2baa0c
     2 2 4 1 1  0 4f53cda18c2baa0c
@@ -113,7 +142,7 @@ GRID_PINS = """
     2 3 4 1 1  0 4f53cda18c2baa0c
     2 3 4 1 2  8 c699a1e793143268
     2 3 5 1 1  0 4f53cda18c2baa0c
-    2 3 5 1 2  9 17bd5e701f883c81
+    2 3 5 1 2  9 78b030c391c707bd
     2 4 2 1 1  0 4f53cda18c2baa0c
     2 4 2 2 1  6 951fe3015f8837e7
     2 4 3 1 1  0 4f53cda18c2baa0c
@@ -123,21 +152,21 @@ GRID_PINS = """
     2 4 4 2 1 10 de9cd1608f5dc047
     2 4 4 2 2 18 2e8f487f1fd670d7
     2 4 5 1 1  0 4f53cda18c2baa0c
-    2 4 5 1 2 11 5aac398e3055e1d7
+    2 4 5 1 2 11 b14e9cf9903eb0d8
     2 4 5 2 1 12 cd7de91739eddcda
     2 4 5 2 2 28 b7c72fb21f767130
     2 5 2 1 1  0 4f53cda18c2baa0c
     2 5 2 2 1  8 ee7077df3793b080
     2 5 3 1 1  0 4f53cda18c2baa0c
-    2 5 3 2 1  9 16be367a4d0d8ef4
+    2 5 3 2 1  9 299205a4d521d229
     2 5 4 1 1  0 4f53cda18c2baa0c
     2 5 4 1 2 12 9a4a6382602074be
-    2 5 4 2 1 11 2e478d93ab6c3b92
+    2 5 4 2 1 11 95128985fcb71462
     2 5 4 2 2 28 aca5595b6f6c9377
     2 5 5 1 1  0 4f53cda18c2baa0c
-    2 5 5 1 2 13 70d5af419177b5c2
-    2 5 5 2 1 13 b47238f5d20e8fe3
-    2 5 5 2 2 35 596cf30760cc8af0
+    2 5 5 1 2 13 381f7157b8402f5e
+    2 5 5 2 1 13 bf4305555588816c
+    2 5 5 2 2 35 5cf91f6e1521bc08
 """
 
 # (constraint, symmetry) -> (nodes, max_size, witness digest) at (4,4),(2,2)
@@ -157,14 +186,34 @@ class TestPinnedTree:
         r = _hunt_search(*key)
         assert r.proven_optimal
         assert (r.nodes, r.max_size, _digest(r)) == HUNT_CELLS[key]
+        _assert_valid_witness(r, CONSTRAINT[key[0]], [key[3:]])
 
-    @pytest.mark.parametrize("conjecture,nodes", [(1, 19809), (2, 19842)])
+    @pytest.mark.parametrize("conjecture,nodes", [(1, 5813), (2, 7961)])
     def test_six_five_cell_is_proven(self, conjecture, nodes):
-        # a counterexample cell beyond the default grid: ancestor dominance
-        # proves it, sibling-only dominance took 680,671 / 680,704 nodes
+        # a counterexample cell beyond the default grid: sibling-only
+        # dominance took 680,671 / 680,704 nodes, ancestor dominance
+        # 19,809 / 19,842 in the canonical numbering
         r = _hunt_search(conjecture, 6, 5, 2, 2)
         assert r.proven_optimal
-        assert (r.nodes, r.max_size, _digest(r)) == (nodes, 49, "00f7b048b99eebb2")
+        assert (r.nodes, r.max_size, _digest(r)) == (nodes, 49, "de5096c87905c50b")
+        _assert_valid_witness(r, CONSTRAINT[conjecture], [(2, 2)])
+
+    def test_six_six_three_two_is_proven(self):
+        # 196,891 nodes in the canonical numbering
+        r = _hunt_search(2, 6, 6, 3, 2)
+        assert r.proven_optimal
+        assert (r.nodes, r.max_size, _digest(r)) == (69567, 145, "e60c689fe7a15f16")
+        _assert_valid_witness(r, Constraint.TWO_SIDED, [(3, 2)])
+
+    def test_boundary_profile_proves_the_star_bound(self):
+        # 2k = n1: unproven after 3.1M nodes in the canonical numbering, where
+        # the colour classes leave the complement pairs apart
+        u = Universe(6, 5)
+        r = max_intersecting(u, [(3, 2)], Constraint.ANY, symmetry=True)
+        assert r.proven_optimal
+        assert (r.nodes, r.max_size, _digest(r)) == (2, 100, "57ebfaf6b31220cf")
+        assert r.max_size == star_bound(u, [(3, 2)])
+        _assert_valid_witness(r, Constraint.ANY, [(3, 2)])
 
     @pytest.mark.parametrize("conjecture", [1, 2])
     def test_default_grid_maxima_and_witnesses(self, conjecture):
@@ -177,6 +226,7 @@ class TestPinnedTree:
         for n1, n2, k, l in ParameterGrid.default().cells:
             r = _hunt_search(conjecture, n1, n2, k, l)
             got[n1, n2, k, l] = (r.max_size, r.proven_optimal, _digest(r))
+            _assert_valid_witness(r, CONSTRAINT[conjecture], [(k, l)])
         assert got == want
 
     @pytest.mark.parametrize("key", sorted(SMALL_CELL, key=lambda k: (k[0].value, k[1])))
@@ -191,16 +241,18 @@ class TestPinnedTree:
         r = max_intersecting(Universe(4, 4), [(1, 2), (2, 1)], Constraint.NONTRIVIAL,
                              symmetry=True)
         assert r.proven_optimal
-        assert (r.nodes, r.max_size, _digest(r)) == (131, 14, "eb19fb6df19c373c")
+        assert (r.nodes, r.max_size, _digest(r)) == (124, 14, "6d4a818efbc0b86e")
+        _assert_valid_witness(r, Constraint.NONTRIVIAL, [(1, 2), (2, 1)])
 
     def test_wide_any(self):
         r = max_intersecting(Universe(8, 8), [(2, 2)])
         assert r.proven_optimal
-        assert (r.nodes, r.max_size, _digest(r)) == (3074, 196, "b0f0d9bd51b031ce")
+        assert (r.nodes, r.max_size, _digest(r)) == (1831, 196, "b0f0d9bd51b031ce")
 
     def test_clique_deeper_than_the_recursion_limit(self):
         # the 1,716 7-sets of 13 points pairwise meet: the search path is as
-        # deep as the clique, far past Python's default recursion limit
+        # deep as the clique, far past Python's default recursion limit; no
+        # two are disjoint, so the packing numbering is the canonical one
         r = max_intersecting(Universe(13, 0), [(7, 0)])
         assert (r.max_size, r.proven_optimal, r.nodes) == (1716, True, 5147)
 
@@ -266,6 +318,36 @@ class TestRows:
             want = sum(1 << j for j, b in enumerate(g.vertices) if j != i and a & b)
             assert g.adjacency[i] == want
 
+    @given(instances())
+    @settings(max_examples=100, deadline=None)
+    def test_packings_are_greedy_disjoint_runs(self, inst):
+        u, profiles = inst
+        g = build_graph(u, profiles)
+        packed, perm, inc = _packed(g)
+        assert sorted(perm) == list(range(g.size))
+        assert packed.vertices == tuple(g.vertices[v] for v in perm)
+        assert inc == element_incidence(u, packed.vertices)
+        for i, a in enumerate(packed.vertices):
+            want = sum(1 << j for j, b in enumerate(packed.vertices) if j != i and a & b)
+            assert packed.adjacency[i] == want
+        # walk the numbering: a packing opens at the lowest vertex left, takes
+        # the highest vertex left of its profile that misses all its members,
+        # and closes when no such vertex is left
+        left, packing = set(range(g.size)), []
+        for v in perm:
+            free = [w for w in left if packing
+                    and profile_of(u, g.vertices[w]) == profile_of(u, g.vertices[packing[0]])
+                    and all(not g.vertices[w] & g.vertices[x] for x in packing)]
+            if not free:
+                packing = []
+                assert v == min(left)
+            else:
+                assert v == max(free)
+            assert all(not g.vertices[v] & g.vertices[x] for x in packing)
+            assert all(profile_of(u, g.vertices[v]) == profile_of(u, g.vertices[x]) for x in packing)
+            packing.append(v)
+            left.remove(v)
+
     def test_element_incidence(self):
         u = Universe(2, 2)
         masks = [0b0101, 0b0110, 0b1001]
@@ -276,7 +358,8 @@ class TestRows:
     def test_miss_rows_match_pairs(self, n1, n2, profiles):
         u = Universe(n1, n2)
         g = build_graph(u, profiles)
-        s = _CliqueSearch(g, Constraint.TWO_SIDED, None, False, time.perf_counter())
+        s = _CliqueSearch(g, element_incidence(u, g.vertices), _degeneracy_order(g.adjacency),
+                          Constraint.TWO_SIDED, None, False, time.perf_counter())
         for v, a in enumerate(g.vertices):
             for rows, side in ((s.miss1, u.x1_mask), (s.miss2, u.x2_mask)):
                 want = sum(1 << w for w, b in enumerate(g.vertices)
@@ -316,7 +399,7 @@ class _SiblingOnly(_CliqueSearch):
                 done |= bit
                 child = rbits | bit
                 if rsize + 1 >= self.best:
-                    self.offer(rsize + 1, tuple(iter_bits(child)))
+                    self.offer(rsize + 1, child)
                 self._expand(child, rsize + 1, 0, False, False, pv, None)
             p ^= bit
 
@@ -336,7 +419,7 @@ def _random_graphs(count):
 
 def _search_from_empty(cls, adj):
     g = CompatibilityGraph(Universe(1, 0), ((),), (0,) * len(adj), tuple(adj))
-    s = cls(g, Constraint.ANY, None, False, time.perf_counter())
+    s = cls(g, [], [], Constraint.ANY, None, False, time.perf_counter())
     s._expand(0, 0, 0, False, False, (1 << len(adj)) - 1, None)
     return s
 
@@ -357,11 +440,25 @@ class TestDominance:
                     adj[j] |= 1 << i
             everyone = (1 << m) - 1
             g = CompatibilityGraph(Universe(1, 0), ((),), (0,) * m, tuple(adj))
-            s = _CliqueSearch(g, Constraint.ANY, None, False, time.perf_counter())
+            s = _CliqueSearch(g, [], [], Constraint.ANY, None, False, time.perf_counter())
             s._expand(0, 0, 0, False, False, everyone, None)
             assert s.best == _max_clique(adj, everyone), adj
-            for i, v in enumerate(s.best_witness):
-                assert all(adj[v] >> w & 1 for w in s.best_witness[i + 1:])
+            witness = list(iter_bits(s.best_bits))
+            assert len(witness) == s.best, adj
+            for i, v in enumerate(witness):
+                assert all(adj[v] >> w & 1 for w in witness[i + 1:])
+
+    def test_ties_keep_the_lexicographically_smaller_set(self):
+        # offer compares cliques as bitsets: the lowest differing vertex decides
+        rng = random.Random(20)
+        g = CompatibilityGraph(Universe(1, 0), ((),), (), ())
+        for _ in range(2000):
+            size = rng.randint(1, 6)
+            a, b = (sum(1 << v for v in rng.sample(range(12), size)) for _ in range(2))
+            s = _CliqueSearch(g, [], [], Constraint.ANY, None, False, time.perf_counter())
+            s.offer(size, a)
+            s.offer(size, b)
+            assert s.best_bits == min(a, b, key=lambda x: tuple(iter_bits(x)))
 
     def test_ancestor_dominance_keeps_maximum_and_witness(self):
         # carrying ancestors' branches down may only cut subtrees that can
@@ -370,7 +467,7 @@ class TestDominance:
         for adj in _random_graphs(4000):
             s = _search_from_empty(_CliqueSearch, adj)
             ref = _search_from_empty(_SiblingOnly, adj)
-            assert (s.best, s.best_witness) == (ref.best, ref.best_witness), adj
+            assert (s.best, s.best_bits) == (ref.best, ref.best_bits), adj
             assert s.nodes <= ref.nodes, adj
 
 
