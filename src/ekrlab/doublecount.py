@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 from .cyclic import (
     RectFamily,
@@ -216,8 +216,9 @@ def weighted_sum_check(family: RectFamily, lambdas: dict[tuple[int, int], Fracti
     if failures:
         return WeightedSumCheck(False, tuple(failures), Fraction(0), Fraction(0), False)
 
-    lhs = sum((lambdas[s] * len(rs) for s, rs in shapes.items()), start=Fraction(0))
-    sum_l = sum((lambdas[(k, l)] * l for (k, l) in shapes), start=Fraction(0))
-    sum_k = sum((lambdas[(k, l)] * k for (k, l) in shapes), start=Fraction(0))
-    rhs = max(family.n1 * sum_l, family.n2 * sum_k)
-    return WeightedSumCheck(True, (), lhs, rhs, lhs <= rhs)
+    denom = lcm(*(lambdas[s].denominator for s in shapes))  # integer sums, one Fraction per side
+    num = {s: lambdas[s].numerator * (denom // lambdas[s].denominator) for s in shapes}
+    lhs = sum(num[s] * len(rs) for s, rs in shapes.items())
+    rhs = max(family.n1 * sum(w * l for (k, l), w in num.items()),
+              family.n2 * sum(w * k for (k, l), w in num.items()))
+    return WeightedSumCheck(True, (), Fraction(lhs, denom), Fraction(rhs, denom), lhs <= rhs)

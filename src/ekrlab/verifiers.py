@@ -11,10 +11,11 @@ check c3 with 0, so every mode is reproducible.  Rectangles proj-intersect
 exactly when their I-points in X1 plus J-points in X2 meet, so the
 proj-intersecting families are the cliques of the ``search.meet_rows``
 rows.  Exhaustive runs list them with ``_cliques``, one bitset clique
-enumerator in ascending vertex order; sampled runs grow them in a vertex
-order drawn by ``random.shuffle``'s Fisher-Yates loop written inline: the
-same ``getrandbits`` calls, so each seed still gives the same stream and
-reports.
+enumerator in ascending vertex order.  Sampled runs grow each family by
+uniform picks among the candidates compatible with every member so far:
+the law of keeping each compatible vertex of a uniform random order, whose
+unvisited rest is uniform and holds every candidate (a visited vertex was
+taken, or was incompatible then and still is); one pick per member.
 
 The other relation tests also read bitset rows built once per call.  The
 family checks take each rectangle's blocking partners (same J and
@@ -193,27 +194,29 @@ def _cliques(rows: list[int], min_size: int, max_size: int | None = None):
         yield clique
 
 
-def _sample_family(rng: random.Random, rows: list[int], size_range: tuple[int, int]) -> list[int]:
-    """Grow a random proj-intersecting family toward a random target size."""
-    m = len(rows)
+def _nth_bit(mask: int, r: int) -> int:
+    """The position of the r-th (from 0) lowest set bit of ``mask``.
+
+    Split off the top n - r set bits (n = popcount) of ``bin(mask)``: what
+    is left after the last of them has that bit's position as its length.
+    """
+    return len(bin(mask).split("1", mask.bit_count() - r)[-1])
+
+
+def _sample_family(rng: random.Random, rows: list[int], size_range: tuple[int, int]) -> int:
+    """The bitset of a random proj-intersecting family grown toward a random target size."""
     target = rng.randint(*size_range)
-    order = list(range(m))
     getrandbits = rng.getrandbits
-    for i in range(m - 1, 0, -1):  # rng.shuffle(order), same getrandbits calls
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
-        order[i], order[j] = order[j], order[i]
-    chosen: list[int] = []
-    cand = (1 << m) - 1
-    for v in order:
-        if len(chosen) >= target or not cand:
-            break
-        if cand >> v & 1:
-            chosen.append(v)
-            cand &= rows[v]
-    return chosen
+    mask, cand = 0, (1 << len(rows)) - 1
+    while cand and mask.bit_count() < target:
+        n = cand.bit_count()
+        r = getrandbits(k := n.bit_length())
+        while r >= n:  # rng.randrange(n), same getrandbits calls
+            r = getrandbits(k)
+        v = _nth_bit(cand, r)
+        mask |= 1 << v
+        cand &= rows[v]
+    return mask
 
 
 def _shape_space(n1: int, n2: int, shapes) -> list[Rectangle]:
@@ -235,8 +238,9 @@ class _BlockingRows:
     """
 
     def __init__(self, rects: list[Rectangle], b: int):
-        index = {r: v for v, r in enumerate(rects)}
+        index, j_ids = {r: v for v, r in enumerate(rects)}, {}
         self.rects = rects
+        self.j_ids = [j_ids.setdefault(r.j, len(j_ids)) for r in rects]  # integer J-base ids
         self.rows = {J_BASE: [0] * len(rects), I_BASE: [0] * len(rects)}
         for p in find_blocking_pairs(rects, b).pairs:
             x, y = index[p.first], index[p.second]
@@ -253,8 +257,12 @@ class _BlockingRows:
 
     def j_bases(self, mask: int) -> int:
         """How many distinct shared-J bases the blocking pairs inside ``mask`` have."""
-        row = self.rows[J_BASE]
-        return len({self.rects[v].j for v in iter_bits(mask) if row[v] & mask})
+        row, j_ids = self.rows[J_BASE], self.j_ids
+        return len({j_ids[v] for v in iter_bits(mask) if row[v] & mask})
+
+    def members(self, mask: int) -> list[Rectangle]:
+        """The rectangles in ``mask``, in sorted order."""
+        return [self.rects[v] for v in iter_bits(mask)]
 
     def class_sizes(self, mask: int) -> dict[tuple[int, int], int]:
         """Shape -> member count for every shape class present in ``mask``."""
@@ -263,28 +271,28 @@ class _BlockingRows:
 
 
 def _family_check(params, mode, rng, trials, shapes, test, min_size: int = 2):
-    """Drive ``test(members, mask, blocking)`` over proj-intersecting families of the shapes.
+    """Drive ``test(mask, blocking)`` over proj-intersecting families of the shapes.
 
-    ``members`` are the family's rectangles in sorted order, ``mask`` its
-    bitset over the sorted shape space and ``blocking`` the space's
-    ``_BlockingRows``.  ``test`` returns None when the family fails the
-    hypothesis, else whether the conclusion holds; families smaller than
-    ``min_size`` are rejected.
+    ``mask`` is the family's bitset over the sorted shape space and
+    ``blocking`` the space's ``_BlockingRows``.  ``test`` returns None when
+    the family fails the hypothesis, else whether the conclusion holds;
+    families smaller than ``min_size`` are rejected, and a space smaller
+    than ``min_size`` has no instance in either mode.
     """
     n1, n2, b = _param(params, "n1", "n2", "b")
     rects = _shape_space(n1, n2, shapes)
+    if len(rects) < min_size:
+        return 0, [], 0
     rows = _proj_rows(n1, n2, rects)
     blocking = _BlockingRows(rects, b)
 
-    def judge(fam):
-        if len(fam) < min_size:
+    def judge(mask):
+        if mask.bit_count() < min_size:
             return None
-        mask = mask_of(fam)
-        members = [rects[v] for v in iter_bits(mask)]
-        holds = test(members, mask, blocking)
-        return {"family": _rect_json(members)} if holds is False else holds
+        holds = test(mask, blocking)
+        return {"family": _rect_json(blocking.members(mask))} if holds is False else holds
 
-    return _drive(mode, rng, trials, _cliques(rows, min_size),
+    return _drive(mode, rng, trials, map(mask_of, _cliques(rows, min_size)),
                   lambda rng: _sample_family(rng, rows, (min_size, len(rects))), judge)
 
 
@@ -365,7 +373,7 @@ def _check_blocking_pair_existence(params, mode, rng, trials):
     _require(2 * (k + b) <= n1, "2(k+b) <= n1")
     _require(2 * (l + b) <= n2, "2(l+b) <= n2")
     return _family_check(params, mode, rng, trials, [(k, l)],
-                         lambda members, mask, blocking: bool(blocking.kinds(mask)),
+                         lambda mask, blocking: bool(blocking.kinds(mask)),
                          min_size=9 * b * b)
 
 
@@ -428,9 +436,10 @@ def _class_bound(size: int, b: int, width: int, n: int) -> bool:
 def _check_distinct_base_collapse(params, mode, rng, trials):
     n1, n2, k, l, b = _single_shape(params)
 
-    def test(members, mask, blocking):
+    def test(mask, blocking):
         if blocking.j_bases(mask) < l:
             return None
+        members = blocking.members(mask)
         return any(all(r.j.contains(beta) for r in members) for beta in range(n2))
 
     return _family_check(params, mode, rng, trials, [(k, l)], test)
@@ -439,8 +448,8 @@ def _check_distinct_base_collapse(params, mode, rng, trials):
 def _check_total_count_bound(params, mode, rng, trials):
     n1, n2, k, l, b = _single_shape(params)
 
-    def test(members, mask, blocking):
-        return None if blocking.j_bases(mask) < l else len(members) <= l * n1
+    def test(mask, blocking):
+        return None if blocking.j_bases(mask) < l else mask.bit_count() <= l * n1
 
     return _family_check(params, mode, rng, trials, [(k, l)], test)
 
@@ -448,10 +457,10 @@ def _check_total_count_bound(params, mode, rng, trials):
 def _check_multiplicity_split(params, mode, rng, trials):
     n1, n2, k, l, b = _single_shape(params)
 
-    def test(members, mask, blocking):
+    def test(mask, blocking):
         if not 1 <= blocking.j_bases(mask) <= l - 1:
             return None
-        return len(members) <= 4 * b * b + (l - 1) * n1
+        return mask.bit_count() <= 4 * b * b + (l - 1) * n1
 
     return _family_check(params, mode, rng, trials, [(k, l)], test)
 
@@ -459,8 +468,8 @@ def _check_multiplicity_split(params, mode, rng, trials):
 def _check_five_way_bound(params, mode, rng, trials):
     n1, n2, k, l, b = _single_shape(params)
 
-    def test(members, mask, blocking):
-        return _class_bound(len(members), b, l, n1) or _class_bound(len(members), b, k, n2)
+    def test(mask, blocking):
+        return _class_bound(mask.bit_count(), b, l, n1) or _class_bound(mask.bit_count(), b, k, n2)
 
     return _family_check(params, mode, rng, trials, [(k, l)], test)
 
@@ -475,15 +484,17 @@ def _multi_shape(params, ground, what: str, max_shapes: int | None = None):
     _require(len(shapes) >= 1, "at least one shape")
     if max_shapes is not None:
         _require(len(shapes) <= max_shapes, f"at most {max_shapes} shapes")
-    for k, l in shapes:
+    for i, (k, l) in enumerate(shapes):
         _require(1 <= k <= b and 1 <= l <= b, f"shape ({k},{l}) within 1..b")
+        if (k, l) in shapes[:i]:  # the shape space would merge the copies
+            raise ValueError(f"shape ({k},{l}) is listed twice")
     return n1, n2, b, shapes
 
 
 def _check_no_mixed_blocking_pairs(params, mode, rng, trials):
     n1, n2, b, shapes = _multi_shape(params, lambda b: 4 * b, "4b", max_shapes=2)
 
-    def test(members, mask, blocking):
+    def test(mask, blocking):
         kinds = blocking.kinds(mask)
         return not (J_BASE in kinds and I_BASE in kinds)
 
@@ -493,7 +504,7 @@ def _check_no_mixed_blocking_pairs(params, mode, rng, trials):
 def _check_per_shape_bounds(params, mode, rng, trials):
     n1, n2, b, shapes = _multi_shape(params, lambda b: 4 * b, "4b")
 
-    def test(members, mask, blocking):
+    def test(mask, blocking):
         # each shape class on its own: a J-pair across two classes sharing l does not count
         kinds = set()
         for shape_mask in blocking.shape_masks.values():
@@ -511,7 +522,7 @@ def _check_per_shape_bounds(params, mode, rng, trials):
 def _check_large_ground_bounds(params, mode, rng, trials):
     n1, n2, b, shapes = _multi_shape(params, lambda b: 9 * b * b, "9b^2")
 
-    def test(members, mask, blocking):
+    def test(mask, blocking):
         sizes = blocking.class_sizes(mask)
         return (all(size <= l_i * n1 for (k_i, l_i), size in sizes.items())
                 or all(size <= k_i * n2 for (k_i, l_i), size in sizes.items()))
@@ -522,9 +533,9 @@ def _check_large_ground_bounds(params, mode, rng, trials):
 def _check_weighted_sum_bound(params, mode, rng, trials):
     n1, n2, b, shapes = _multi_shape(params, lambda b: 9 * b * b, "9b^2")
 
-    def test(members, mask, blocking):
+    def test(mask, blocking):
         lambdas = {s: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for s in shapes}
-        res = weighted_sum_check(RectFamily(n1, n2, tuple(members)), lambdas, b)
+        res = weighted_sum_check(RectFamily(n1, n2, tuple(blocking.members(mask))), lambdas, b)
         return res.hypothesis_ok and res.holds
 
     return _family_check(params, mode, rng, trials, shapes, test)

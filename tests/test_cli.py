@@ -158,6 +158,19 @@ class TestVerifyCommand:
         data = json.loads(out_path.read_text())
         assert data["instances"] == 252
 
+    @pytest.mark.parametrize("mode", [["--mode", "sampled", "--seed", "1"], []])
+    def test_small_space_has_no_instance(self, capsys, mode):
+        # 64 unit rectangles cannot hold a family of 9b^2 = 81; sampled mode crashed here
+        code, out, _ = run_cli(capsys, "verify-lemma", "3", "--n1", "8", "--n2", "8", "--k", "1",
+                               "--l", "1", "--b", "3", *mode, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["instances"] == 0
+
+    def test_repeated_shape_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify-lemma", "7", "--n1", "5", "--n2", "5",
+                                 "--b", "1", "--shapes", "1,1;1,1")
+        assert code == 2 and out == "" and "shape (1,1) is listed twice" in err
+
     @pytest.mark.parametrize("argv,missing", [
         (["3"], "n1"),
         (["7", "--n1", "5", "--n2", "5", "--b", "1"], "shapes"),

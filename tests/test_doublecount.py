@@ -265,7 +265,45 @@ class TestDoubleCountAtCap:
         assert double_count_check(f) == reference_double_count(f)
 
 
+def reference_weighted_sides(family: RectFamily, lambdas) -> tuple[Fraction, Fraction]:
+    """Both sides of the weighted-sum bound summed as Fractions, term by term."""
+    shapes = family.by_shape()
+    lhs = sum((lambdas[s] * len(rs) for s, rs in shapes.items()), start=Fraction(0))
+    sum_l = sum((lambdas[(k, l)] * l for (k, l) in shapes), start=Fraction(0))
+    sum_k = sum((lambdas[(k, l)] * k for (k, l) in shapes), start=Fraction(0))
+    return lhs, max(family.n1 * sum_l, family.n2 * sum_k)
+
+
+def random_proj_family(rng, n, space, tries) -> RectFamily:
+    """A random proj-intersecting family grown from a random sample of the space."""
+    rects = []
+    for cand in rng.sample(space, tries):
+        if all(cand.i.overlaps(r.i) or cand.j.overlaps(r.j) for r in rects):
+            rects.append(cand)
+    return RectFamily(n, n, tuple(sorted(rects)))
+
+
 class TestWeightedSum:
+    @pytest.mark.parametrize("n,b,shapes", [
+        (10, 1, [(1, 1)]),
+        (37, 2, [(1, 1), (2, 1), (2, 2)]),
+    ])
+    def test_sides_match_fraction_sums(self, n, b, shapes):
+        # integer numerators over a common denominator give the same reduced sides
+        rng = random.Random(n)
+        space = [Rectangle(i, j) for k, l in shapes
+                 for i in all_intervals(n, k) for j in all_intervals(n, l)]
+        all_shapes = 0
+        for _ in range(200):
+            fam = random_proj_family(rng, n, space, 40)
+            lambdas = {s: Fraction(rng.randint(1, 30), rng.randint(1, 30)) for s in shapes}
+            res = weighted_sum_check(fam, lambdas, b)
+            lhs, rhs = reference_weighted_sides(fam, lambdas)
+            assert res.hypothesis_ok
+            assert (res.lhs, res.rhs, res.holds) == (lhs, rhs, lhs <= rhs)
+            all_shapes += len(fam.by_shape()) == len(shapes)
+        assert all_shapes >= 40  # the multi-shape case is exercised, not only its classes
+
     def test_full_row_of_unit_rectangles(self):
         rects = tuple(Rectangle(Interval(10, s, 1), Interval(10, 0, 1)) for s in range(10))
         fam = RectFamily(10, 10, rects)

@@ -1,13 +1,16 @@
 import hashlib
 import json
 import random
-from itertools import chain, combinations
+from collections import Counter
+from fractions import Fraction
+from itertools import chain, combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ekrlab import verifiers
 from ekrlab.cyclic import J_BASE, find_blocking_pairs, point_distance
+from ekrlab.families import iter_bits
 from ekrlab.verifiers import InfeasibleExhaustive, SAMPLED, verify_check
 
 
@@ -59,6 +62,18 @@ class TestBlockingPairExistence:
                               mode=SAMPLED, seed=3, trials=50)
         assert report.passed
         assert report.instances > 0
+
+    @pytest.mark.parametrize("mode", ["exhaustive", SAMPLED])
+    def test_space_smaller_than_minimum_family(self, monkeypatch, mode):
+        # 64 unit rectangles against a minimum family of 9b^2 = 81: no instance, no draw
+        def no_draw(*args):
+            raise AssertionError("drew a family from a space smaller than the minimum size")
+
+        monkeypatch.setattr(verifiers, "_sample_family", no_draw)
+        report = verify_check("3", {"n1": 8, "n2": 8, "k": 1, "l": 1, "b": 3},
+                              mode=mode, seed=1, trials=50)
+        assert report.passed
+        assert (report.instances, report.hypothesis_rejections) == (0, 0)
 
 
 class TestThirdRectangleOverlap:
@@ -125,6 +140,12 @@ class TestMultiShapeChecks:
                               mode=SAMPLED, seed=7, trials=500)
         assert report.passed and report.instances == 500
 
+    @pytest.mark.parametrize("check_id", ["7", "8", "9", "c3"])
+    def test_repeated_shape_rejected(self, check_id):
+        # the shape space merges copies, so a repeated shape would run a smaller check
+        with pytest.raises(ValueError, match=r"shape \(1,1\) is listed twice"):
+            verify_check(check_id, {"n1": 10, "n2": 10, "b": 1, "shapes": [[1, 1], [1, 1]]})
+
     def test_shape_hypothesis_validated(self):
         with pytest.raises(ValueError, match="within 1..b"):
             verify_check("9", {"n1": 12, "n2": 12, "b": 1, "shapes": [[2, 1]]},
@@ -184,6 +205,12 @@ class TestVerifierPlumbing:
 
 # Digests of to_json() minus elapsed_ms, recorded before the verifiers shared
 # one exhaustive/sampled driver: the refactor must not change any report.
+# The sampled digests of checks 5, 6, 8 and c1 were re-recorded when the
+# sampled families moved from a shuffle-and-walk draw to uniform candidate
+# picks: the law of a drawn family is the same, the random stream is not, so
+# only their hypothesis_rejections counts changed (every report still passes
+# with instances equal to trials).  Reports without rejections, and checks 1,
+# 2 and 4, which draw their own instances, keep their digests.
 _SMALL = {"n1": 5, "n2": 5, "k": 1, "l": 1, "b": 1}
 _WIDE = {"n1": 9, "n2": 9, "k": 2, "l": 2, "b": 2}
 _LINES = {"n1": 10, "n2": 10, "k": 1, "l": 1, "b": 1}
@@ -199,12 +226,12 @@ PINS = {
           {"n": 12, "k": 2, "b": 3}, ("8d2176048920d804", "8d2176048920d804")),
     "3": (_LINES, "09f7cb20099dd98c", _LINES, ("62c03d070bfc53a0", "62c03d070bfc53a0")),
     "4": (_SMALL, "eafdfb9f65de30dd", _WIDE, ("1c806dec26039e6e", "b497032dc0c38ea7")),
-    "5": (_SMALL, "418b1f99188f74e1", _WIDE, ("feaceb769cc7f661", "971469151df2ad4c")),
-    "6": (_SMALL, "9a746ec06b31bc67", _WIDE, ("57412eb007fc9e84", "6d14076cd9333ef8")),
+    "5": (_SMALL, "418b1f99188f74e1", _WIDE, ("bffa95f350dd2b3a", "37f04c0c1db29e4d")),
+    "6": (_SMALL, "9a746ec06b31bc67", _WIDE, ("83796ed56a31afa6", "4d35f15037cbbb3a")),
     "7": (_UNIT5, "a182c59d358d4eca", _TWO_SHAPES, ("98fbd8be59d5e068", "98fbd8be59d5e068")),
-    "8": (_UNIT5, "e5446ebd4ecd2a6b", _TWO_SHAPES, ("92872eb8dad9fd74", "087eb81521fc5b16")),
+    "8": (_UNIT5, "e5446ebd4ecd2a6b", _TWO_SHAPES, ("087eb81521fc5b16", "92872eb8dad9fd74")),
     "9": (_UNIT10, "f0114c2362c4c5c0", _UNIT10, ("ae8e7ec4b68275e4", "ae8e7ec4b68275e4")),
-    "c1": (_SMALL, "bd236322e25ac09a", _WIDE, ("3bc9eb43e384c37d", "df88becc02ec105f")),
+    "c1": (_SMALL, "bd236322e25ac09a", _WIDE, ("75a11da3894008ce", "b867e6f314c6f0d8")),
     "c2": (_SMALL, "17abfc498bac18f4", _WIDE, ("58b190685dedbd19", "58b190685dedbd19")),
     "c3": (_UNIT10, "49cd99cfe80622b2", _UNIT10, ("f585c80a7d56cd74", "f585c80a7d56cd74")),
 }
@@ -262,19 +289,20 @@ def test_missing_parameter_is_a_value_error(check_id, params, missing):
 
 
 # Digests of the benchmark-size calls (perfbench's VERIFIER_CASES), recorded
-# before the verifiers moved onto precomputed relation rows.
+# before the verifiers moved onto precomputed relation rows; the sampled
+# digests of 5, 6, 8 and c1 were re-recorded with the PINS ones above.
 # check id -> (params, sampled trials or None for exhaustive, digests at seeds 1 and 2)
 BENCH_PINS = {
     "1": ({"n": 24, "k": 5}, None, ("0ddaaaf91a78eec3",)),
     "2": ({"n": 16, "k": 3, "b": 3}, None, ("d87ffbf58d1be7fb",)),
     "3": (_LINES, 800, ("9edfa0a084ffa86c", "9edfa0a084ffa86c")),
     "4": ({"n1": 10, "n2": 10, "k": 2, "l": 2, "b": 2}, None, ("0585d087bc5ff1c2",)),
-    "5": (_WIDE, 200, ("7b88c7058797af11", "7e75b83a35492745")),
-    "6": (_WIDE, 200, ("f3a5744f8628007d", "925e496f8c1f62db")),
+    "5": (_WIDE, 200, ("fb2df1416d8d3613", "35a3c8bed1199b05")),
+    "6": (_WIDE, 200, ("aa80fbf8ef97f963", "8abd9e9f6b15ef16")),
     "7": (_TWO_SHAPES, 400, ("6225a9fbb0daf1af", "6225a9fbb0daf1af")),
-    "8": (_TWO_SHAPES, 300, ("0797616198f7028d", "dba24a4b799675af")),
+    "8": (_TWO_SHAPES, 300, ("cafb1f38bd20f1b5", "abb3f8b5e55f7d5b")),
     "9": (_UNIT10, 2000, ("10cf8f895693cccc", "10cf8f895693cccc")),
-    "c1": (_WIDE, 200, ("5f7fa08ca0229c0b", "af4558a040519654")),
+    "c1": (_WIDE, 200, ("cd633c56ffdea1df", "adec8c1cc49e2c5b")),
     "c2": (_WIDE, 600, ("1e45534a6de5f9a8", "1e45534a6de5f9a8")),
     "c3": (_UNIT10, 1000, ("da81c0162104844a", "da81c0162104844a")),
 }
@@ -378,53 +406,106 @@ def test_exhaustive_cliques_match_subset_filter(monkeypatch, dist, kinds):
     assert seen == kinds
 
 
-def _sample_family_reference(rng, rows, size_range):
-    """The sampler as first written: ``rng.shuffle`` and a walk over every vertex."""
-    m = len(rows)
+def _random_graph(rng, m, density):
+    rows = [0] * m
+    for u, v in combinations(range(m), 2):
+        if rng.random() < density:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return rows
+
+
+def _walk_law(rows, size_range):
+    """Exact law of the family kept by walking every vertex order and taking each compatible one."""
+    m, (lo, hi) = len(rows), size_range
+    law, orders = {}, list(permutations(range(m)))
+    p = Fraction(1, len(orders) * (hi - lo + 1))
+    for target in range(lo, hi + 1):
+        for order in orders:
+            mask, cand = 0, (1 << m) - 1
+            for v in order:
+                if mask.bit_count() >= target:
+                    break
+                if cand >> v & 1:
+                    mask |= 1 << v
+                    cand &= rows[v]
+            law[mask] = law.get(mask, 0) + p
+    return law
+
+
+def _pick_law(rows, size_range):
+    """Exact law of the family grown by uniform picks among the remaining candidates."""
+    law = {}
+
+    def grow(mask, cand, target, p):
+        if not cand or mask.bit_count() >= target:
+            law[mask] = law.get(mask, 0) + p
+            return
+        for v in iter_bits(cand):
+            grow(mask | 1 << v, cand & rows[v], target, p / cand.bit_count())
+
+    lo, hi = size_range
+    for target in range(lo, hi + 1):
+        grow(0, (1 << len(rows)) - 1, target, Fraction(1, hi - lo + 1))
+    return law
+
+
+def _sample_family_by_randrange(rng, rows, size_range):
+    """Reference draw: ``rng.randrange`` picks the member among the sorted candidates."""
     target = rng.randint(*size_range)
-    order = list(range(m))
-    rng.shuffle(order)
-    chosen, cand = [], (1 << m) - 1
-    for v in order:
-        if len(chosen) >= target:
-            break
-        if cand >> v & 1:
-            chosen.append(v)
-            cand &= rows[v]
-    return chosen
+    mask, cand = 0, (1 << len(rows)) - 1
+    while cand and mask.bit_count() < target:
+        v = sorted(iter_bits(cand))[rng.randrange(cand.bit_count())]
+        mask |= 1 << v
+        cand &= rows[v]
+    return mask
 
 
 class TestSampleFamily:
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
-    def test_inline_draw_is_random_shuffle(self, seed):
-        # on a complete graph the walk keeps every vertex, so it returns the draw itself
-        for m in range(201):
-            full = (1 << m) - 1
-            rows = [full & ~(1 << v) for v in range(m)]
-            rng, ref = random.Random(seed), random.Random(seed)
-            order = list(range(m))
-            ref.randint(m, m)
-            ref.shuffle(order)
-            assert verifiers._sample_family(rng, rows, (m, m)) == order, m
-            assert rng.getstate() == ref.getstate(), m
-
     @pytest.mark.parametrize("density", [0.05, 0.3, 0.7, 1.0])
-    def test_matches_full_walk(self, density):
-        # stopping once no candidate is left returns the same family and stream
+    def test_pick_law_is_walk_law(self, density):
+        # uniform picks among the candidates keep the law of the shuffle-and-walk draw
         graphs = random.Random(int(density * 100))
-        for trial in range(150):
-            m = graphs.randrange(0, 120)
-            rows = [0] * m
-            for u, v in combinations(range(m), 2):
-                if graphs.random() < density:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
+        for _ in range(10):
+            rows = _random_graph(graphs, graphs.randrange(0, 7), density)
+            m = len(rows)
+            for lo in range(m + 1):
+                for hi in range(lo, m + 1):
+                    law = _pick_law(rows, (lo, hi))
+                    assert law == _walk_law(rows, (lo, hi)), (rows, lo, hi)
+                    assert sum(law.values()) == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
+    def test_picks_replay_randrange(self, seed):
+        # each pick makes rng.randrange's getrandbits calls: same family, same stream
+        graphs = random.Random(seed)
+        rng, ref = random.Random(seed), random.Random(seed)
+        for m in range(0, 201, 5):
+            rows = _random_graph(graphs, m, graphs.random())
             size_range = (min(m, graphs.randrange(0, 4)), m)
-            rng, ref = random.Random(trial), random.Random(trial)
             for _ in range(3):
                 assert (verifiers._sample_family(rng, rows, size_range)
-                        == _sample_family_reference(ref, rows, size_range)), (m, trial)
-            assert rng.getstate() == ref.getstate()
+                        == _sample_family_by_randrange(ref, rows, size_range)), m
+            assert rng.getstate() == ref.getstate(), m
+        full = (1 << 200) - 1  # a complete graph keeps every pick
+        rows = [full & ~(1 << v) for v in range(200)]
+        assert verifiers._sample_family(rng, rows, (200, 200)) == full
+
+    def test_nth_bit(self):
+        rng = random.Random(20261019)
+        for _ in range(400):
+            mask = rng.getrandbits(rng.randrange(1, 201))
+            bits = sorted(iter_bits(mask))
+            assert [verifiers._nth_bit(mask, r) for r in range(len(bits))] == bits, mask
+
+    def test_frequencies_match_exact_law(self):
+        rows = _random_graph(random.Random(3), 5, 0.5)
+        law = _walk_law(rows, (1, 5))
+        rng, draws = random.Random(11), 20_000
+        seen = Counter(verifiers._sample_family(rng, rows, (1, 5)) for _ in range(draws))
+        assert set(seen) <= set(law)
+        for mask, p in law.items():  # within five standard deviations of the expected count
+            assert abs(seen[mask] - draws * p) <= 5 * (draws * p * (1 - p)) ** 0.5 + 1, mask
 
 
 def _cliques_by_combinations(rows, min_size, max_size):
@@ -441,11 +522,7 @@ def test_cliques_match_pairwise_filter(extra):
     graphs = random.Random(20261019 if extra is None else extra)
     for trial in range(120):
         m, density = graphs.randrange(0, 13), graphs.random()
-        rows = [0] * m
-        for u, v in combinations(range(m), 2):
-            if graphs.random() < density:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+        rows = _random_graph(graphs, m, density)
         min_size = graphs.randrange(0, 5)
         max_size = None if extra is None else min_size + extra
         want = _cliques_by_combinations(rows, min_size, m if max_size is None else max_size)
