@@ -42,7 +42,6 @@ from .cyclic import (
     is_proj_intersecting_family,
     point_distance,
     proj_intersecting,
-    projections,
     set_to_rectangle,
 )
 from .doublecount import (
@@ -51,7 +50,6 @@ from .doublecount import (
     enumerate_rectangle_pair_count,
     member_weight,
     rectangle_pair_count,
-    weight,
     weighted_sum_check,
 )
 from .families import (
@@ -67,12 +65,10 @@ from .families import (
     is_two_sided_intersecting,
     load_family,
     profile_of,
-    save_family,
     star_family,
     trivial_witness,
 )
 from .search import (
-    BoundAttainment,
     CompatibilityGraph,
     Constraint,
     SearchBudget,
@@ -80,7 +76,6 @@ from .search import (
     build_graph,
     exhaustive_oracle,
     max_intersecting,
-    verify_bound_attainment,
 )
 from .verifiers import VerificationReport, verify_check
 

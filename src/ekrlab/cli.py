@@ -282,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate the closed-form bounds")
     add_universe(p)
-    p.add_argument("--which", default="all", help="a single bound name, or all")
+    p.add_argument("--which", default="all", choices=["all", "star", "star_proven", "ekr", "hm",
+                                                      "cross", "frankl", "nontrivial", "two_sided"])
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("enumerate", help="list every profile-respecting set")

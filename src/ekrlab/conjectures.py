@@ -616,6 +616,8 @@ def hunt(grid: ParameterGrid, conjecture: int, jsonl_path: str,
     report), except cells whose last record is an error: those run again.
     """
     _conjecture(conjecture)  # rejects an unknown conjecture before the report is touched
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     done = _read_completed(jsonl_path, conjecture) if resume else {}
     if not resume and os.path.exists(jsonl_path):
         os.remove(jsonl_path)

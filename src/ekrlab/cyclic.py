@@ -8,7 +8,7 @@ interval is the degenerate empty one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Iterator
@@ -152,45 +152,6 @@ class RectFamily:
             out.setdefault(r.shape, []).append(r)
         return {s: tuple(v) for s, v in sorted(out.items())}
 
-    def to_json(self) -> dict:
-        return {
-            "n1": self.n1,
-            "n2": self.n2,
-            "rects": [[r.i.start, r.i.length, r.j.start, r.j.length] for r in self.rects],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RectFamily":
-        n1, n2 = int(data["n1"]), int(data["n2"])
-        rects = tuple(
-            Rectangle(Interval(n1, a, b), Interval(n2, c, d)) for a, b, c, d in data["rects"]
-        )
-        return cls(n1, n2, rects)
-
-
-@dataclass(frozen=True)
-class Projections:
-    """Distinct axis projections with multiplicities; mu maps interval -> count."""
-
-    i_intervals: tuple[Interval, ...]
-    j_intervals: tuple[Interval, ...]
-    mu_i: dict[Interval, int] = field(hash=False)
-    mu_j: dict[Interval, int] = field(hash=False)
-
-
-def projections(family: RectFamily) -> Projections:
-    mu_i: dict[Interval, int] = {}
-    mu_j: dict[Interval, int] = {}
-    for r in family.rects:
-        mu_i[r.i] = mu_i.get(r.i, 0) + 1
-        mu_j[r.j] = mu_j.get(r.j, 0) + 1
-    return Projections(
-        i_intervals=tuple(sorted(mu_i)),
-        j_intervals=tuple(sorted(mu_j)),
-        mu_i=mu_i,
-        mu_j=mu_j,
-    )
-
 
 J_BASE = "j_base"  # shared J-projection, I-projections far apart
 I_BASE = "i_base"  # shared I-projection, J-projections far apart
@@ -206,19 +167,7 @@ class BlockingPair:
     base: Interval
 
 
-@dataclass(frozen=True)
-class BlockingPairScan:
-    pairs: tuple[BlockingPair, ...]
-
-    def distinct_bases(self, kind: str) -> tuple[Interval, ...]:
-        return tuple(sorted({p.base for p in self.pairs if p.kind == kind}))
-
-    @property
-    def kinds_present(self) -> set[str]:
-        return {p.kind for p in self.pairs}
-
-
-def find_blocking_pairs(rects: Iterable[Rectangle], b: int) -> BlockingPairScan:
+def find_blocking_pairs(rects: Iterable[Rectangle], b: int) -> tuple[BlockingPair, ...]:
     """All pairs with equal J and d(I1,I2) >= b+1, or equal I and d(J1,J2) >= b+1.
 
     Pairs come in sorted-rectangle order: (x, y) with x < y, and for the same
@@ -242,7 +191,7 @@ def find_blocking_pairs(rects: Iterable[Rectangle], b: int) -> BlockingPairScan:
                     if interval_distance(apart, axes(rs[y])[1]) >= b + 1:
                         found.append((x, y, order, BlockingPair(kind, rs[x], rs[y], base)))
     found.sort(key=lambda t: t[:3])
-    return BlockingPairScan(tuple(t[3] for t in found))
+    return tuple(t[3] for t in found)
 
 
 @dataclass(frozen=True)
@@ -271,16 +220,6 @@ def canonical_permutations(n: int) -> Iterator[CyclicPermutation]:
         return
     for rest in permutations(range(1, n)):
         yield CyclicPermutation(n, (0,) + rest)
-
-
-def permutation_pair_count(n1: int, n2: int) -> int:
-    """Number of canonical permutation pairs, (n1-1)!(n2-1)! with (n-1)! := 1 for n <= 1."""
-    def half(n: int) -> int:
-        out = 1
-        for i in range(2, n):
-            out *= i
-        return out
-    return half(n1) * half(n2)
 
 
 def _consecutive_interval(positions: list[int], n: int) -> Interval | None:

@@ -30,7 +30,7 @@ from .cyclic import (
     is_proj_intersecting_family,
     set_to_rectangle,
 )
-from .families import Family, Profile, Universe, normalize_profiles, profile_of
+from .families import Family, Profile, Universe, profile_of
 from .bounds import binomial
 
 ENUMERATION_CAP = 6  # (n-1)! pairs per axis stay tiny up to here
@@ -45,14 +45,6 @@ def _weight_numerator(u: Universe, p: tuple[int, int]) -> int:
 def member_weight(u: Universe, p: tuple[int, int]) -> Fraction:
     """The double-counting weight of any member with profile p, as a reduced rational."""
     return Fraction(_weight_numerator(u, p), factorial(u.n1) * factorial(u.n2))
-
-
-def weight(u: Universe, profiles, mask: int) -> Fraction:
-    """Weight of a concrete member; its profile must be in the prescribed list."""
-    p = profile_of(u, mask)
-    if p not in normalize_profiles(u, profiles):
-        raise ValueError(f"member profile {tuple(p)} not in the prescribed list")
-    return member_weight(u, p)
 
 
 def _axis_pair_count(n: int, k: int) -> int:
@@ -215,10 +207,17 @@ def weighted_sum_check(family: RectFamily, lambdas: dict[tuple[int, int], Fracti
         failures.append("family is not proj-intersecting")
     if failures:
         return WeightedSumCheck(False, tuple(failures), Fraction(0), Fraction(0), False)
+    lhs, rhs = weighted_sums({s: len(rs) for s, rs in shapes.items()}, lambdas,
+                             family.n1, family.n2)
+    return WeightedSumCheck(True, (), lhs, rhs, lhs <= rhs)
 
-    denom = lcm(*(lambdas[s].denominator for s in shapes))  # integer sums, one Fraction per side
-    num = {s: lambdas[s].numerator * (denom // lambdas[s].denominator) for s in shapes}
-    lhs = sum(num[s] * len(rs) for s, rs in shapes.items())
-    rhs = max(family.n1 * sum(w * l for (k, l), w in num.items()),
-              family.n2 * sum(w * k for (k, l), w in num.items()))
-    return WeightedSumCheck(True, (), Fraction(lhs, denom), Fraction(rhs, denom), lhs <= rhs)
+
+def weighted_sums(sizes: dict[tuple[int, int], int], lambdas: dict[tuple[int, int], Fraction],
+                  n1: int, n2: int) -> tuple[Fraction, Fraction]:
+    """Both sides of ``weighted_sum_check``'s inequality from the class sizes {shape: |R_i|}."""
+    denom = lcm(*(lambdas[s].denominator for s in sizes))  # integer sums, one Fraction per side
+    num = {s: lambdas[s].numerator * (denom // lambdas[s].denominator) for s in sizes}
+    lhs = sum(num[s] * size for s, size in sizes.items())
+    rhs = max(n1 * sum(w * l for (k, l), w in num.items()),
+              n2 * sum(w * k for (k, l), w in num.items()))
+    return Fraction(lhs, denom), Fraction(rhs, denom)

@@ -264,9 +264,3 @@ def family_from_json(data) -> Family:
 def load_family(path: str) -> Family:
     with open(path, "r", encoding="utf-8") as fh:
         return family_from_json(json.load(fh))
-
-
-def save_family(f: Family, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(family_to_json(f), fh, sort_keys=True)
-        fh.write("\n")

@@ -91,7 +91,6 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .bounds import star_bound, star_bound_proven
 from .families import (
     Family,
     Universe,
@@ -674,38 +673,3 @@ def exhaustive_oracle(u: Universe, profiles, constraint: Constraint = Constraint
         best = len(chosen)
     return best
 
-
-@dataclass(frozen=True)
-class BoundAttainment:
-    search_max: int
-    bound: int
-    proven_regime: bool
-    equal: bool
-    proven_optimal: bool
-
-    @property
-    def consistent(self) -> bool:
-        """False only when an exactly solved in-regime instance misses the bound."""
-        return self.equal or not (self.proven_regime and self.proven_optimal)
-
-    def to_json(self) -> dict:
-        return {
-            "search_max": self.search_max,
-            "star_bound": self.bound,
-            "star_bound_proven": self.proven_regime,
-            "equal": self.equal,
-            "proven_optimal": self.proven_optimal,
-        }
-
-
-def verify_bound_attainment(u: Universe, profiles) -> BoundAttainment:
-    """Compare the exact search maximum with the star bound for these parameters."""
-    result = max_intersecting(u, profiles, Constraint.ANY)
-    bound = star_bound(u, profiles)
-    return BoundAttainment(
-        search_max=result.max_size,
-        bound=bound,
-        proven_regime=star_bound_proven(u, profiles),
-        equal=result.max_size == bound,
-        proven_optimal=result.proven_optimal,
-    )

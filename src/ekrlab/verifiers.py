@@ -23,8 +23,11 @@ I-distance >= b+1, or same I and J-distance >= b+1) from
 ``find_blocking_pairs`` on the whole shape space; the predicate is
 pairwise, so a family's blocking pairs are the space's pairs inside its
 member mask, and check 8 intersects that mask with one shape class at a
-time.  Check 2 keeps one far-row per interval (the intervals at distance
->= b+1).  Check 1 keeps the adjacency rows of the distance graph; in
+time.  Checks 9 and c3 judge a family on its shape-class sizes alone; c3's
+hypotheses (b, the shapes, positive weights, proj-intersection) hold by
+construction, so it computes the two sides of the weighted sum without
+re-testing them.  Check 2 keeps one far-row per interval (the intervals at
+distance >= b+1).  Check 1 keeps the adjacency rows of the distance graph; in
 exhaustive mode ``_cliques`` lists only its cliques of size k and k+1, and
 the C(n,k+1) + C(n,k) subsets are counted arithmetically, since a subset
 that is not a clique cannot fail.
@@ -68,14 +71,13 @@ from .cyclic import (
     I_BASE,
     J_BASE,
     Rectangle,
-    RectFamily,
     _arc_mask,
     all_intervals,
     find_blocking_pairs,
     interval_distance,
     point_distance,
 )
-from .doublecount import weighted_sum_check
+from .doublecount import weighted_sums
 from .families import Universe, iter_bits, mask_of
 from .search import meet_rows
 
@@ -162,7 +164,7 @@ def _drive(mode, rng, trials, everything, draw, test):
 
 def _proj_rows(n1: int, n2: int, rects: list[Rectangle]) -> list[int]:
     """For each rectangle, the bitset of the other rectangles it proj-intersects."""
-    masks = [mask_of(r.i.elements()) | mask_of(r.j.elements()) << n1 for r in rects]
+    masks = [_arc_mask(r.i) | _arc_mask(r.j) << n1 for r in rects]
     return [row & ~(1 << v) for v, row in enumerate(meet_rows(Universe(n1, n2), masks))]
 
 
@@ -242,7 +244,7 @@ class _BlockingRows:
         self.rects = rects
         self.j_ids = [j_ids.setdefault(r.j, len(j_ids)) for r in rects]  # integer J-base ids
         self.rows = {J_BASE: [0] * len(rects), I_BASE: [0] * len(rects)}
-        for p in find_blocking_pairs(rects, b).pairs:
+        for p in find_blocking_pairs(rects, b):
             x, y = index[p.first], index[p.second]
             self.rows[p.kind][x] |= 1 << y
             self.rows[p.kind][y] |= 1 << x
@@ -535,8 +537,8 @@ def _check_weighted_sum_bound(params, mode, rng, trials):
 
     def test(mask, blocking):
         lambdas = {s: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for s in shapes}
-        res = weighted_sum_check(RectFamily(n1, n2, tuple(blocking.members(mask))), lambdas, b)
-        return res.hypothesis_ok and res.holds
+        lhs, rhs = weighted_sums(blocking.class_sizes(mask), lambdas, n1, n2)
+        return lhs <= rhs
 
     return _family_check(params, mode, rng, trials, shapes, test)
 

@@ -9,7 +9,7 @@ import random
 import time
 from math import comb
 
-from ekrlab.bounds import cross_bound, ekr_bound, frankl_bound, hm_bound, star_bound
+from ekrlab.bounds import cross_bound, ekr_bound, frankl_bound, hm_bound, star_bound, star_bound_proven
 from ekrlab.conjectures import (
     BUDGET_EXHAUSTED,
     CONFIRMED,
@@ -33,7 +33,7 @@ from ekrlab.families import (
     is_two_sided_intersecting,
     mask_of,
 )
-from ekrlab.search import Constraint, build_graph, exhaustive_oracle, max_intersecting, verify_bound_attainment
+from ekrlab.search import Constraint, build_graph, exhaustive_oracle, max_intersecting
 from ekrlab.verifiers import SAMPLED, verify_check
 
 
@@ -86,18 +86,17 @@ def test_a03_star_regime_corner():
     start = time.perf_counter()
     for n1, n2 in [(9, 9), (9, 12), (12, 9)]:
         u = Universe(n1, n2)
-        rep = verify_bound_attainment(u, [(1, 1)])
-        assert rep.proven_regime and rep.proven_optimal
-        assert rep.search_max == rep.bound == max(n1, n2)
-        assert rep.equal and rep.consistent
+        r = max_intersecting(u, [(1, 1)], Constraint.ANY)
+        assert star_bound_proven(u, [(1, 1)]) and r.proven_optimal
+        assert r.max_size == star_bound(u, [(1, 1)]) == max(n1, n2)
     assert time.perf_counter() - start < 5.0
     # larger prescribed sizes sit far outside the proven regime at desk scale:
     # run the below-threshold exploration report and cross-check the solver
     # against the subset oracle on a width that fits the oracle cap
     u = Universe(6, 6)
-    rep = verify_bound_attainment(u, [(1, 1), (2, 1)])
-    assert rep.proven_optimal and not rep.proven_regime
-    assert rep.search_max == star_bound(u, [(1, 1), (2, 1)]) == 36
+    r = max_intersecting(u, [(1, 1), (2, 1)], Constraint.ANY)
+    assert r.proven_optimal and not star_bound_proven(u, [(1, 1), (2, 1)])
+    assert r.max_size == star_bound(u, [(1, 1), (2, 1)]) == 36
     small = Universe(3, 3)
     assert max_intersecting(small, [(1, 1), (2, 1)]).max_size == \
         exhaustive_oracle(small, [(1, 1), (2, 1)])

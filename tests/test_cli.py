@@ -73,6 +73,23 @@ class TestBoundsCommand:
         assert code == 2
         assert "error" in err
 
+    def test_unknown_bound_name_exit_2(self, capsys):
+        # an unknown --which once printed an empty table with exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--n1", "4", "--n2", "4", "--profiles", "2,2", "--which", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n2,name", [
+        ("4", "star"), ("4", "star_proven"), ("0", "ekr"), ("0", "hm"), ("0", "cross"),
+        ("4", "frankl"), ("4", "nontrivial"), ("4", "two_sided"),
+    ])
+    def test_every_choice_names_a_row(self, capsys, n2, name):
+        code, out, _ = run_cli(capsys, "bounds", "--n1", "4", "--n2", n2,
+                               "--profiles", "2" if n2 == "0" else "2,2",
+                               "--which", name, "--format", "json")
+        assert code == 0 and list(json.loads(out)["bounds"]) == [name]
+
 
 class TestSearchCommand:
     def test_search_json(self, capsys):
@@ -325,6 +342,14 @@ class TestHuntCommand:
                                "--grid", str(grid), "--out", str(tmp_path / "reports"))
         assert code == 2 and err.startswith("error:")
         assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_2(self, capsys, tmp_path, threads):
+        # once ran serially and exited 0
+        code, _, err = run_cli(capsys, "hunt", "--conjecture", "1", "--threads", threads,
+                               "--out", str(tmp_path))
+        assert code == 2 and "workers must be at least 1" in err
+        assert not (tmp_path / "hunt-conjecture1.jsonl").exists()
 
     def test_bad_conjecture_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "hunt", "--conjecture", "3",

@@ -604,6 +604,15 @@ class TestHuntPersistence:
             hunt(grid, 1, str(jsonl), resume=True)
         assert jsonl.read_text() == text
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_fewer_than_one_worker_raises(self, tmp_path, workers):
+        # once ran serially and passed; rejected before the old report is deleted
+        jsonl = tmp_path / "hunt.jsonl"
+        jsonl.write_text("kept\n")
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            hunt(self._small_grid(), 1, str(jsonl), workers=workers)
+        assert jsonl.read_text() == "kept\n"
+
     def test_parallel_workers_match_serial(self, tmp_path):
         grid = self._small_grid()
         serial = hunt(grid, 2, str(tmp_path / "s.jsonl"))

@@ -21,7 +21,6 @@ from ekrlab.doublecount import (
     enumerate_rectangle_pair_count,
     member_weight,
     rectangle_pair_count,
-    weight,
     weighted_sum_check,
 )
 from ekrlab.families import (
@@ -116,17 +115,6 @@ class TestWeights:
 
     def test_one_part_full_weight(self):
         assert member_weight(Universe(3, 0), (3, 0)) == Fraction(1, 6)
-
-    def test_weight_depends_only_on_profile(self):
-        u = Universe(4, 4)
-        masks = candidate_sets(u, [(2, 1)])
-        values = {weight(u, [(2, 1)], m) for m in masks}
-        assert len(values) == 1
-
-    def test_weight_requires_listed_profile(self):
-        u = Universe(4, 4)
-        with pytest.raises(ValueError):
-            weight(u, [(2, 2)], mask_of([0, 4]))
 
 
 class TestPairCounts:

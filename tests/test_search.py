@@ -20,7 +20,6 @@ from ekrlab.search import (
     build_graph,
     exhaustive_oracle,
     max_intersecting,
-    verify_bound_attainment,
 )
 
 
@@ -267,15 +266,3 @@ class TestEkrReproductionSmall:
                         u = Universe(n1, n2)
                         assert max_intersecting(u, [(k, l)]).max_size == frankl_bound(u, (k, l))
 
-
-class TestBoundAttainment:
-    def test_rook_in_regime(self):
-        rep = verify_bound_attainment(Universe(9, 9), [(1, 1)])
-        assert (rep.search_max, rep.bound, rep.proven_regime, rep.equal) == (9, 9, True, True)
-        assert rep.consistent
-
-    def test_out_of_regime_cells(self):
-        rep = verify_bound_attainment(Universe(4, 4), [(2, 2)])
-        assert (rep.search_max, rep.bound, rep.proven_regime, rep.equal) == (18, 18, False, True)
-        rep = verify_bound_attainment(Universe(3, 3), [(1, 1)])
-        assert (rep.search_max, rep.bound, rep.proven_regime, rep.equal) == (3, 3, False, True)

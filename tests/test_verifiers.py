@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ekrlab import verifiers
-from ekrlab.cyclic import J_BASE, find_blocking_pairs, point_distance
+from ekrlab.cyclic import J_BASE, find_blocking_pairs, point_distance, proj_intersecting
 from ekrlab.families import iter_bits
 from ekrlab.verifiers import InfeasibleExhaustive, SAMPLED, verify_check
 
@@ -258,17 +258,17 @@ def test_sampled_report_pinned(check_id, seed):
 
 
 def test_exhaustive_c3_reproducible_without_seed(monkeypatch):
-    real = verifiers.weighted_sum_check
+    real = verifiers.weighted_sums
 
     def run():
         seen = []
 
-        def recording(fam, lambdas, b):
+        def recording(sizes, lambdas, n1, n2):
             if len(seen) < 50:
                 seen.append(dict(lambdas))
-            return real(fam, lambdas, b)
+            return real(sizes, lambdas, n1, n2)
 
-        monkeypatch.setattr(verifiers, "weighted_sum_check", recording)
+        monkeypatch.setattr(verifiers, "weighted_sums", recording)
         verify_check("c3", _UNIT10)
         return seen
 
@@ -343,16 +343,36 @@ class TestBlockingRows:
         mask = sum(1 << v for v in picked)
         members = [rects[v] for v in picked]
         # whole union (check 7 and the single-shape checks)
-        scan = find_blocking_pairs(members, b)
-        assert blocking.kinds(mask) == scan.kinds_present
-        assert blocking.j_bases(mask) == len(scan.distinct_bases(J_BASE))
+        pairs = find_blocking_pairs(members, b)
+        assert blocking.kinds(mask) == {p.kind for p in pairs}
+        assert blocking.j_bases(mask) == len({p.base for p in pairs if p.kind == J_BASE})
         # one shape class at a time (check 8)
         for shape, shape_mask in blocking.shape_masks.items():
             in_class = [r for r in members if r.shape == shape]
-            assert blocking.kinds(mask & shape_mask) == find_blocking_pairs(in_class, b).kinds_present
+            assert blocking.kinds(mask & shape_mask) == {p.kind for p in find_blocking_pairs(in_class, b)}
         sizes = blocking.class_sizes(mask)
         assert sizes == {s: sum(r.shape == s for r in members)
                          for s in {r.shape for r in members}}
+
+
+@st.composite
+def shape_spaces(draw):
+    """One to three distinct shapes on Z_n1 x Z_n2, n up to 12, full-cycle sides included."""
+    n1, n2 = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    shape = st.tuples(st.integers(1, n1) | st.just(n1), st.integers(1, n2) | st.just(n2))
+    shapes = draw(st.lists(shape, min_size=1, max_size=3, unique=True))
+    return n1, n2, verifiers._shape_space(n1, n2, shapes)
+
+
+@given(shape_spaces())
+@settings(max_examples=150, deadline=None)
+def test_proj_rows_match_pairwise_relation(case):
+    # every family the family checks draw is a clique of these rows, so c3
+    # relies on them being exactly the proj-intersection relation
+    n1, n2, rects = case
+    rows = verifiers._proj_rows(n1, n2, rects)
+    assert rows == [sum(1 << y for y, s in enumerate(rects) if y != x and proj_intersecting(r, s))
+                    for x, r in enumerate(rects)]
 
 
 def _cliques_by_subset_filter(n, k, dist):
