@@ -33,13 +33,11 @@ from .cyclic import (
     BlockingPair,
     CyclicPermutation,
     Interval,
-    RectFamily,
     Rectangle,
     all_intervals,
     canonical_permutations,
     find_blocking_pairs,
     interval_distance,
-    is_proj_intersecting_family,
     point_distance,
     proj_intersecting,
     set_to_rectangle,
@@ -50,7 +48,6 @@ from .doublecount import (
     enumerate_rectangle_pair_count,
     member_weight,
     rectangle_pair_count,
-    weighted_sum_check,
 )
 from .families import (
     Family,

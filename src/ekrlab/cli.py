@@ -65,6 +65,8 @@ def parse_profiles(text: str) -> list[Profile]:
 
 
 def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list] | None = None) -> None:
+    if args.out and os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out} is a directory; only hunt writes into one")
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     elif args.format == "csv" and csv_rows is not None:
@@ -73,7 +75,7 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list] | Non
     else:
         for line in text_lines:
             print(line)
-    if args.out and not os.path.isdir(args.out):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -237,6 +239,8 @@ def cmd_hunt(args) -> int:
     if conjecture is None:
         raise ValueError("--conjecture must be 1, 2, nontrivial or twosided")
     grid = ParameterGrid.load(args.grid) if args.grid else ParameterGrid.default()
+    if args.threads < 1:  # before the report directory is made
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     jsonl = os.path.join(out_dir, f"hunt-conjecture{conjecture}.jsonl")

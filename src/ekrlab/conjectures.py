@@ -501,12 +501,17 @@ class CellResult:
         return out
 
     @classmethod
-    def from_json(cls, rec: dict) -> "CellResult":
-        """The result ``to_json`` gave ``rec``; ``elapsed_s`` keeps its microseconds."""
-        return cls(rec["conjecture"], GridCell(rec["n1"], rec["n2"], rec["k"], rec["l"]),
-                   rec["found_max"], rec["conjectured_bound"], rec["construction_size"],
-                   rec["status"], rec["proven_optimal"], rec["nodes"],
-                   rec.get("elapsed_ms", 0.0) / 1000.0, rec.get("witness"), rec.get("error"))
+    def from_json(cls, rec) -> "CellResult":
+        """Invert ``to_json`` to the microsecond; a malformed ``rec`` raises ValueError."""
+        if not isinstance(rec, dict):
+            raise ValueError(f"a hunt record must be a JSON object, got {rec!r}")
+        try:
+            return cls(rec["conjecture"], GridCell(rec["n1"], rec["n2"], rec["k"], rec["l"]),
+                       rec["found_max"], rec["conjectured_bound"], rec["construction_size"],
+                       rec["status"], rec["proven_optimal"], rec["nodes"],
+                       rec.get("elapsed_ms", 0.0) / 1000.0, rec.get("witness"), rec.get("error"))
+        except KeyError as exc:
+            raise ValueError(f"a hunt record lacks the key {exc}") from None
 
 
 def evaluate_cell(conjecture: int, cell: GridCell, node_limit: int | None = None,
@@ -560,29 +565,23 @@ def _read_completed(jsonl_path: str, conjecture: int) -> dict[GridCell, CellResu
     A sweep killed mid-write leaves an unterminated last line.  When it does
     not parse it is the cell in flight: it is cut from the file, so the next
     record starts on a fresh line, and the cell runs again.  When it parses
-    it counts, and gets its newline.  A malformed line anywhere else raises.
+    it counts, and gets its newline.  Any other malformed line, or a record
+    of the wrong shape, raises before the file is touched.
     """
-    done = {}
+    results = []
     if os.path.exists(jsonl_path):
         with open(jsonl_path, "rb+") as fh:
-            lines = fh.read().split(b"\n")
-            tail = lines[-1]  # empty when the file ends with a newline
+            *lines, tail = fh.read().split(b"\n")  # tail is empty after a final newline
+            results = [CellResult.from_json(json.loads(x)) for x in lines if x.strip()]
             if tail.strip():
                 try:
-                    json.loads(tail)
+                    rec = json.loads(tail)
                 except ValueError:
                     fh.truncate(fh.tell() - len(tail))
-                    lines.pop()
                 else:
+                    results.append(CellResult.from_json(rec))
                     fh.write(b"\n")
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("conjecture") == conjecture:
-                res = CellResult.from_json(rec)
-                done[res.cell] = res
+    done = {res.cell: res for res in results if res.conjecture == conjecture}
     # a cell's last record counts; an error there leaves the cell pending
     return {c: res for c, res in done.items() if res.status != CELL_ERROR}
 

@@ -110,49 +110,6 @@ def _arc_mask(iv: Interval) -> int:
     return (run | run >> iv.n) & ((1 << iv.n) - 1)
 
 
-def is_proj_intersecting_family(rects: Iterable[Rectangle]) -> bool:
-    """True when every two rectangles proj-intersect.
-
-    A pair fails exactly when both its I-element bitsets and its J-element
-    bitsets are disjoint.
-    """
-    rs = list(rects)
-    masks = []
-    for r in rs:
-        _check_modulus(r.i, rs[0].i)
-        _check_modulus(r.j, rs[0].j)
-        masks.append((_arc_mask(r.i), _arc_mask(r.j)))
-    return all(i1 & i2 or j1 & j2
-               for a, (i1, j1) in enumerate(masks) for i2, j2 in masks[a + 1:])
-
-
-@dataclass(frozen=True)
-class RectFamily:
-    """Duplicate-free rectangles over a fixed axis pair (n1, n2)."""
-
-    n1: int
-    n2: int
-    rects: tuple[Rectangle, ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for r in self.rects:
-            if r.i.n != self.n1 or r.j.n != self.n2:
-                raise ValueError("rectangle axes do not match the family")
-            if r in seen:
-                raise ValueError("duplicate rectangle")
-            seen.add(r)
-
-    def __len__(self) -> int:
-        return len(self.rects)
-
-    def by_shape(self) -> dict[tuple[int, int], tuple[Rectangle, ...]]:
-        out: dict[tuple[int, int], list[Rectangle]] = {}
-        for r in self.rects:
-            out.setdefault(r.shape, []).append(r)
-        return {s: tuple(v) for s, v in sorted(out.items())}
-
-
 J_BASE = "j_base"  # shared J-projection, I-projections far apart
 I_BASE = "i_base"  # shared I-projection, J-projections far apart
 

@@ -13,7 +13,9 @@ rectangle under (c1, c2) exactly when its X1 part is consecutive under c1
 and its X2 part under c2.  The by-pair side therefore looks up each
 permutation's consecutive-run masks (a table built once per n) among the
 members' part masks, keeps one member bitset per permutation and per
-weight class, and counts a pair's members with ANDs.  Everything here is
+weight class, and counts a pair's members with ANDs.  ``weighted_sums``
+gives both sides of the 9b^2 regime's weighted-sum inequality from the
+rectangle class sizes, the bound check c3 tests.  Everything here is
 exact rational arithmetic; no tolerances anywhere.
 """
 
@@ -24,12 +26,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
 
-from .cyclic import (
-    RectFamily,
-    canonical_permutations,
-    is_proj_intersecting_family,
-    set_to_rectangle,
-)
+from .cyclic import canonical_permutations, set_to_rectangle
 from .families import Family, Profile, Universe, profile_of
 from .bounds import binomial
 
@@ -166,55 +163,14 @@ def double_count_check(f: Family) -> DoubleCountResult:
     return DoubleCountResult(len(f), by_member, Fraction(sum(pair_nums), denom), per_pair)
 
 
-@dataclass(frozen=True)
-class WeightedSumCheck:
-    hypothesis_ok: bool
-    hypothesis_failures: tuple[str, ...]
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
-
-    def to_json(self) -> dict:
-        return {
-            "hypothesis_ok": self.hypothesis_ok,
-            "hypothesis_failures": list(self.hypothesis_failures),
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "holds": self.holds,
-        }
-
-
-def weighted_sum_check(family: RectFamily, lambdas: dict[tuple[int, int], Fraction],
-                       b: int) -> WeightedSumCheck:
-    """Check sum_i lambda_i |R_i| <= max{n1 sum lambda_i l_i, n2 sum lambda_i k_i}.
-
-    The inequality is only claimed for proj-intersecting families with all
-    rectangle side lengths at most b and 9b^2 strictly below both axis
-    sizes; hypothesis violations are reported, not checked.
-    """
-    failures = []
-    shapes = family.by_shape()
-    for (k, l) in shapes:
-        if k > b or l > b:
-            failures.append(f"shape ({k},{l}) exceeds b={b}")
-        if (k, l) not in lambdas:
-            failures.append(f"no weight for shape ({k},{l})")
-        elif lambdas[(k, l)] <= 0:
-            failures.append(f"weight for shape ({k},{l}) not positive")
-    if not (9 * b * b < family.n1 and 9 * b * b < family.n2):
-        failures.append(f"needs 9b^2 < n1 and n2, got b={b}, n1={family.n1}, n2={family.n2}")
-    if not is_proj_intersecting_family(family.rects):
-        failures.append("family is not proj-intersecting")
-    if failures:
-        return WeightedSumCheck(False, tuple(failures), Fraction(0), Fraction(0), False)
-    lhs, rhs = weighted_sums({s: len(rs) for s, rs in shapes.items()}, lambdas,
-                             family.n1, family.n2)
-    return WeightedSumCheck(True, (), lhs, rhs, lhs <= rhs)
-
-
 def weighted_sums(sizes: dict[tuple[int, int], int], lambdas: dict[tuple[int, int], Fraction],
                   n1: int, n2: int) -> tuple[Fraction, Fraction]:
-    """Both sides of ``weighted_sum_check``'s inequality from the class sizes {shape: |R_i|}."""
+    """Both sides of sum_i lambda_i |R_i| <= max{n1 sum lambda_i l_i, n2 sum lambda_i k_i}.
+
+    ``sizes`` is {shape (k_i, l_i): |R_i|}.  The inequality holds for proj-intersecting
+    families with every side at most b, 9b^2 < n1 and 9b^2 < n2, and positive weights;
+    nothing here checks them.  Check c3 meets all four by construction.
+    """
     denom = lcm(*(lambdas[s].denominator for s in sizes))  # integer sums, one Fraction per side
     num = {s: lambdas[s].numerator * (denom // lambdas[s].denominator) for s in sizes}
     lhs = sum(num[s] * size for s, size in sizes.items())

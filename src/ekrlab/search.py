@@ -90,6 +90,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 
 from .families import (
     Family,
@@ -214,13 +215,19 @@ def meet_rows(u: Universe, masks, inc: list[int] | None = None) -> list[int]:
     return rows
 
 
+def _capped_candidates(u: Universe, profiles, cap: int, name: str) -> tuple[tuple, list[int]]:
+    """The normalized profiles and their candidate sets, counted against ``cap`` first."""
+    ps = normalize_profiles(u, profiles)
+    u.check_encodable()
+    m = sum(comb(u.n1, k) * comb(u.n2, l) for k, l in ps)  # distinct profiles: disjoint classes
+    if m > cap:
+        raise ValueError(f"{m} candidate sets exceed the {name} cap of {cap}")
+    return ps, candidate_sets(u, ps)
+
+
 def build_graph(u: Universe, profiles) -> CompatibilityGraph:
     """Compatibility graph over every profile-respecting set, in canonical vertex order."""
-    ps = normalize_profiles(u, profiles)
-    masks = candidate_sets(u, ps)
-    m = len(masks)
-    if m > VERTEX_CAP:
-        raise ValueError(f"{m} candidate sets exceed the vertex cap of {VERTEX_CAP}")
+    ps, masks = _capped_candidates(u, profiles, VERTEX_CAP, "vertex")
     adj = tuple(row & ~(1 << v) for v, row in enumerate(meet_rows(u, masks)))
     return CompatibilityGraph(u, ps, tuple(masks), adj)
 
@@ -632,10 +639,8 @@ def exhaustive_oracle(u: Universe, profiles, constraint: Constraint = Constraint
     Deliberately ignores the compatibility graph and the solver: every
     subset is tested directly against the intersection predicates.
     """
-    masks = candidate_sets(u, profiles)
+    _, masks = _capped_candidates(u, profiles, ORACLE_CAP, "oracle")
     m = len(masks)
-    if m > ORACLE_CAP:
-        raise ValueError(f"{m} candidate sets exceed the oracle cap of {ORACLE_CAP}")
     if constraint is Constraint.TWO_SIDED and not u.two_part:
         raise ValueError("two-sided constraint needs a two-part universe")
     x1m, x2m, full = u.x1_mask, u.x2_mask, u.full_mask

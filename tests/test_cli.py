@@ -73,6 +73,14 @@ class TestBoundsCommand:
         assert code == 2
         assert "error" in err
 
+    def test_out_directory_is_a_usage_error(self, capsys, tmp_path):
+        # once wrote nothing and exited 0
+        code, out, err = run_cli(capsys, "bounds", "--n1", "4", "--n2", "4", "--profiles", "2,2",
+                                 "--format", "json", "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert f"--out {tmp_path} is a directory" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_bound_name_exit_2(self, capsys):
         # an unknown --which once printed an empty table with exit 0
         with pytest.raises(SystemExit) as exc:
@@ -125,6 +133,12 @@ class TestSearchCommand:
         code, _, err = run_cli(capsys, "search-max", "--n1", "4", "--n2", "4",
                                "--profiles", "2,2", "--time-limit-ms", "0")
         assert code == 2 and "--time-limit-ms must be positive" in err
+
+    def test_vertex_cap_before_enumeration(self, capsys):
+        # C(40,20) = 137846528820 sets: refused from their count, not after building them
+        code, out, err = run_cli(capsys, "search-max", "--n1", "40", "--profiles", "20")
+        assert code == 2 and out == ""
+        assert "137846528820 candidate sets exceed the vertex cap" in err
 
     def test_clique_deeper_than_the_recursion_limit(self, capsys):
         code, out, err = run_cli(capsys, "search-max", "--n1", "13", "--profiles", "7",
@@ -345,11 +359,20 @@ class TestHuntCommand:
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_exit_2(self, capsys, tmp_path, threads):
-        # once ran serially and exited 0
+        # once ran serially and exited 0, then exited 2 leaving an empty --out directory
         code, _, err = run_cli(capsys, "hunt", "--conjecture", "1", "--threads", threads,
+                               "--out", str(tmp_path / "reports"))
+        assert code == 2 and "--threads must be at least 1" in err
+        assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("record", ['{"conjecture": 1, "n1": 2}', "[1, 2]"],
+                             ids=["missing-key", "array"])
+    def test_resume_on_a_wrong_shape_record_exit_2(self, capsys, tmp_path, record):
+        # once ended in an internal error (KeyError / AttributeError), exit 1
+        (tmp_path / "hunt-conjecture1.jsonl").write_text(record + "\n")
+        code, _, err = run_cli(capsys, "hunt", "--conjecture", "1", "--resume",
                                "--out", str(tmp_path))
-        assert code == 2 and "workers must be at least 1" in err
-        assert not (tmp_path / "hunt-conjecture1.jsonl").exists()
+        assert code == 2 and err.startswith("error: a hunt record")
 
     def test_bad_conjecture_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "hunt", "--conjecture", "3",

@@ -604,6 +604,23 @@ class TestHuntPersistence:
             hunt(grid, 1, str(jsonl), resume=True)
         assert jsonl.read_text() == text
 
+    @pytest.mark.parametrize("where", ["inner", "terminated last", "unterminated last"])
+    @pytest.mark.parametrize("record,match", [
+        ('{"conjecture": 1, "n1": 2}', "lacks the key 'n2'"),
+        ("[1, 2]", "must be a JSON object"),
+    ], ids=["missing-key", "array"])
+    def test_resume_raises_on_a_wrong_shape_record(self, tmp_path, where, record, match):
+        grid = self._small_grid()
+        jsonl = tmp_path / "hunt.jsonl"
+        hunt(ParameterGrid(grid.cells[:2]), 1, str(jsonl))
+        lines = jsonl.read_text().splitlines()
+        lines.insert(1 if where == "inner" else len(lines), record)
+        text = "\n".join(lines) + ("" if where == "unterminated last" else "\n")
+        jsonl.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            hunt(grid, 1, str(jsonl), resume=True)
+        assert jsonl.read_text() == text
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_fewer_than_one_worker_raises(self, tmp_path, workers):
         # once ran serially and passed; rejected before the old report is deleted

@@ -1,6 +1,8 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from ekrlab.cyclic import (
     Interval,
     _consecutive_interval,
-    RectFamily,
     Rectangle,
     all_intervals,
     canonical_permutations,
+    proj_intersecting,
     set_to_rectangle,
 )
 from ekrlab.doublecount import (
@@ -21,7 +23,7 @@ from ekrlab.doublecount import (
     enumerate_rectangle_pair_count,
     member_weight,
     rectangle_pair_count,
-    weighted_sum_check,
+    weighted_sums,
 )
 from ekrlab.families import (
     Family,
@@ -33,6 +35,7 @@ from ekrlab.families import (
     profile_of,
     star_family,
 )
+from ekrlab.verifiers import verify_check
 
 
 def reference_double_count(f: Family) -> DoubleCountResult:
@@ -253,22 +256,25 @@ class TestDoubleCountAtCap:
         assert double_count_check(f) == reference_double_count(f)
 
 
-def reference_weighted_sides(family: RectFamily, lambdas) -> tuple[Fraction, Fraction]:
+def reference_weighted_sides(sizes, lambdas, n1, n2) -> tuple[Fraction, Fraction]:
     """Both sides of the weighted-sum bound summed as Fractions, term by term."""
-    shapes = family.by_shape()
-    lhs = sum((lambdas[s] * len(rs) for s, rs in shapes.items()), start=Fraction(0))
-    sum_l = sum((lambdas[(k, l)] * l for (k, l) in shapes), start=Fraction(0))
-    sum_k = sum((lambdas[(k, l)] * k for (k, l) in shapes), start=Fraction(0))
-    return lhs, max(family.n1 * sum_l, family.n2 * sum_k)
+    lhs = sum((lambdas[s] * size for s, size in sizes.items()), start=Fraction(0))
+    sum_l = sum((lambdas[(k, l)] * l for (k, l) in sizes), start=Fraction(0))
+    sum_k = sum((lambdas[(k, l)] * k for (k, l) in sizes), start=Fraction(0))
+    return lhs, max(n1 * sum_l, n2 * sum_k)
 
 
-def random_proj_family(rng, n, space, tries) -> RectFamily:
+def random_proj_family(rng, space, tries) -> list[Rectangle]:
     """A random proj-intersecting family grown from a random sample of the space."""
     rects = []
     for cand in rng.sample(space, tries):
         if all(cand.i.overlaps(r.i) or cand.j.overlaps(r.j) for r in rects):
             rects.append(cand)
-    return RectFamily(n, n, tuple(sorted(rects)))
+    return rects
+
+
+def class_sizes(rects) -> Counter:
+    return Counter(r.shape for r in rects)
 
 
 class TestWeightedSum:
@@ -278,37 +284,30 @@ class TestWeightedSum:
     ])
     def test_sides_match_fraction_sums(self, n, b, shapes):
         # integer numerators over a common denominator give the same reduced sides
+        assert 9 * b * b < n and all(max(s) <= b for s in shapes)  # the inequality's regime
         rng = random.Random(n)
         space = [Rectangle(i, j) for k, l in shapes
                  for i in all_intervals(n, k) for j in all_intervals(n, l)]
         all_shapes = 0
         for _ in range(200):
-            fam = random_proj_family(rng, n, space, 40)
+            sizes = class_sizes(random_proj_family(rng, space, 40))
             lambdas = {s: Fraction(rng.randint(1, 30), rng.randint(1, 30)) for s in shapes}
-            res = weighted_sum_check(fam, lambdas, b)
-            lhs, rhs = reference_weighted_sides(fam, lambdas)
-            assert res.hypothesis_ok
-            assert (res.lhs, res.rhs, res.holds) == (lhs, rhs, lhs <= rhs)
-            all_shapes += len(fam.by_shape()) == len(shapes)
+            want = reference_weighted_sides(sizes, lambdas, n, n)
+            assert weighted_sums(sizes, lambdas, n, n) == want
+            all_shapes += len(sizes) == len(shapes)
         assert all_shapes >= 40  # the multi-shape case is exercised, not only its classes
 
     def test_full_row_of_unit_rectangles(self):
-        rects = tuple(Rectangle(Interval(10, s, 1), Interval(10, 0, 1)) for s in range(10))
-        fam = RectFamily(10, 10, rects)
-        res = weighted_sum_check(fam, {(1, 1): Fraction(1)}, b=1)
-        assert res.hypothesis_ok
-        assert res.lhs == 10 and res.rhs == 10
-        assert res.holds
+        rects = [Rectangle(Interval(10, s, 1), Interval(10, 0, 1)) for s in range(10)]
+        assert weighted_sums(class_sizes(rects), {(1, 1): Fraction(1)}, 10, 10) == (10, 10)
 
     def test_empty_family(self):
-        res = weighted_sum_check(RectFamily(10, 10, ()), {}, b=1)
-        assert res.hypothesis_ok and res.holds and res.lhs == 0
+        assert weighted_sums(Counter(), {}, 10, 10) == (0, 0)
 
-    def test_hypothesis_violation_reported_not_checked(self):
-        rects = (Rectangle(Interval(5, 0, 1), Interval(5, 0, 1)),)
-        res = weighted_sum_check(RectFamily(5, 5, rects), {(1, 1): Fraction(1)}, b=1)
-        assert not res.hypothesis_ok
-        assert any("9b^2" in msg for msg in res.hypothesis_failures)
+    def test_c3_rejects_a_ground_below_9b2(self):
+        # weighted_sums checks no hypothesis: c3's parameter check is the guard
+        with pytest.raises(ValueError, match=r"9b\^2 < n1"):
+            verify_check("c3", {"n1": 9, "n2": 10, "b": 1, "shapes": [[1, 1]]})
 
     def test_sampled_families_hold(self):
         rng = random.Random(7)
@@ -321,8 +320,9 @@ class TestWeightedSum:
                 if cand not in rects and all(
                         cand.i.overlaps(r.i) or cand.j.overlaps(r.j) for r in rects):
                     rects.append(cand)
-            fam = RectFamily(10, 10, tuple(sorted(rects)))
-            res = weighted_sum_check(fam, {(1, 1): Fraction(rng.randint(1, 9), rng.randint(1, 9))}, b=1)
-            assert res.hypothesis_ok and res.holds
+            assert all(proj_intersecting(r1, r2) for r1, r2 in combinations(rects, 2))
+            lambdas = {(1, 1): Fraction(rng.randint(1, 9), rng.randint(1, 9))}
+            lhs, rhs = weighted_sums(class_sizes(rects), lambdas, 10, 10)
+            assert lhs <= rhs
             checked += 1
         assert checked == 500

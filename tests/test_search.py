@@ -44,6 +44,16 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="36"):
             build_graph(Universe(4, 4), [(2, 2)])
 
+    def test_caps_are_checked_before_enumeration(self, monkeypatch):
+        # C(40,20) candidates: counting them must not need building them
+        def unbounded(*args):
+            raise AssertionError("candidate sets enumerated past the cap")
+
+        monkeypatch.setattr(search, "candidate_sets", unbounded)
+        for call in (build_graph, exhaustive_oracle):
+            with pytest.raises(ValueError, match="137846528820 candidate sets exceed"):
+                call(Universe(40, 0), [(20, 0)])
+
     def test_adjacency_symmetric_irreflexive(self):
         g = build_graph(Universe(3, 3), [(1, 1), (2, 2)])
         for i in range(g.size):
