@@ -26,7 +26,7 @@ from .bounds import (
     two_sided_bound,
 )
 from .conjectures import CELL_ERROR, ParameterGrid, hunt
-from .doublecount import double_count_check
+from .doublecount import double_count_check, require_countable
 from .families import (
     Family,
     Profile,
@@ -67,6 +67,10 @@ def parse_profiles(text: str) -> list[Profile]:
 def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list] | None = None) -> None:
     if args.out and os.path.isdir(args.out):
         raise ValueError(f"--out {args.out} is a directory; only hunt writes into one")
+    if args.out:  # written before anything is printed, so a bad path leaves stdout empty
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     elif args.format == "csv" and csv_rows is not None:
@@ -75,10 +79,6 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list] | Non
     else:
         for line in text_lines:
             print(line)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 def cmd_bounds(args) -> int:
@@ -213,6 +213,7 @@ def cmd_double_count(args) -> int:
         if args.random < 1:
             raise ValueError("without --family, --random must be at least 1")
         u = Universe(args.n1, args.n2)
+        require_countable(u)  # before the pool is enumerated
         profiles = parse_profiles(args.profiles)
         pool = candidate_sets(u, profiles)
         rng = random.Random(args.seed)

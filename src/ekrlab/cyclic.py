@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
 from .families import Universe, iter_bits
@@ -124,31 +124,43 @@ class BlockingPair:
     base: Interval
 
 
-def find_blocking_pairs(rects: Iterable[Rectangle], b: int) -> tuple[BlockingPair, ...]:
-    """All pairs with equal J and d(I1,I2) >= b+1, or equal I and d(J1,J2) >= b+1.
+def blocking_rows(rects: list[Rectangle], b: int) -> tuple[list[int], list[int]]:
+    """Per rectangle v, the bitsets of its shared-J and of its shared-I blocking partners.
 
-    Pairs come in sorted-rectangle order: (x, y) with x < y, and for the same
-    (x, y) the shared-J pair before the shared-I pair.  Only rectangles with
-    equal J (or equal I) can pair, so distances are tested inside those
-    buckets alone.
+    Per axis the rectangles form one bitset per distinct interval, and each
+    interval's far row ORs those at distance >= b+1 from it.  v's shared-J row
+    is its J-interval's bitset AND its I-interval's far row; mirrored for I.
     """
     if b < 1:
         raise ValueError("b must be at least 1")
+    same, far = [], []  # per axis (I, then J), per rectangle
+    for ivs in ([r.i for r in rects], [r.j for r in rects]):
+        ids: dict[Interval, int] = {}
+        of = [ids.setdefault(iv, len(ids)) for iv in ivs]
+        group, apart = [0] * len(ids), [0] * len(ids)
+        for v, c in enumerate(of):
+            group[c] |= 1 << v
+        for (c, p), (d, q) in combinations(enumerate(ids), 2):
+            if interval_distance(p, q) >= b + 1:
+                apart[c] |= group[d]
+                apart[d] |= group[c]
+        same.append([group[c] for c in of])
+        far.append([apart[c] for c in of])
+    return [s & f for s, f in zip(same[1], far[0])], [s & f for s, f in zip(same[0], far[1])]
+
+
+def find_blocking_pairs(rects: Iterable[Rectangle], b: int) -> tuple[BlockingPair, ...]:
+    """All pairs with equal J and d(I1,I2) >= b+1, or equal I and d(J1,J2) >= b+1.
+
+    Read off ``blocking_rows`` in sorted-rectangle order, (x, y) with x < y;
+    distinct rectangles never share both projections, so a pair has one kind.
+    """
     # the dataclass order as a plain tuple, without a method call per comparison
     rs = sorted(rects, key=lambda r: (r.i.n, r.i.start, r.i.length, r.j.n, r.j.start, r.j.length))
-    found = []
-    for order, kind, axes in ((0, J_BASE, lambda r: (r.j, r.i)), (1, I_BASE, lambda r: (r.i, r.j))):
-        buckets: dict[Interval, list[int]] = {}
-        for x, r in enumerate(rs):
-            buckets.setdefault(axes(r)[0], []).append(x)
-        for xs in buckets.values():
-            for a, x in enumerate(xs):
-                base, apart = axes(rs[x])
-                for y in xs[a + 1:]:
-                    if interval_distance(apart, axes(rs[y])[1]) >= b + 1:
-                        found.append((x, y, order, BlockingPair(kind, rs[x], rs[y], base)))
-    found.sort(key=lambda t: t[:3])
-    return tuple(t[3] for t in found)
+    j_rows, i_rows = blocking_rows(rs, b)
+    return tuple(BlockingPair(J_BASE, r, rs[y], r.j) if j_rows[x] >> y & 1
+                 else BlockingPair(I_BASE, r, rs[y], r.i)
+                 for x, r in enumerate(rs) for y in iter_bits((j_rows[x] | i_rows[x]) & -2 << x))
 
 
 @dataclass(frozen=True)

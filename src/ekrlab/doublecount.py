@@ -121,6 +121,12 @@ def _run_bitsets(n: int, parts: list[int]) -> list[int]:
     return [sum(groups.get(mask, 0) for mask in runs) for runs in _run_masks(n)]
 
 
+def require_countable(u: Universe) -> None:
+    """Refuse a universe whose permutation pairs ``double_count_check`` would not enumerate."""
+    if u.n1 > ENUMERATION_CAP or u.n2 > ENUMERATION_CAP:
+        raise ValueError(f"double counting limited to parts of size <= {ENUMERATION_CAP}")
+
+
 def double_count_check(f: Family) -> DoubleCountResult:
     """Evaluate the weighted incidence sum both ways and compare with |f|.
 
@@ -133,8 +139,7 @@ def double_count_check(f: Family) -> DoubleCountResult:
     closed-form incidence count degenerates and the identity fails.
     """
     u = f.universe
-    if u.n1 > ENUMERATION_CAP or u.n2 > ENUMERATION_CAP:
-        raise ValueError(f"double counting limited to parts of size <= {ENUMERATION_CAP}")
+    require_countable(u)
     for m in f.sets:
         k, l = profile_of(u, m)
         if (u.n1 > 0 and k in (0, u.n1)) or (u.n2 > 0 and l in (0, u.n2)):

@@ -1,36 +1,25 @@
 """Verifiers for the structural facts behind the double-counting machinery.
 
-Each check validates its stated hypotheses, then one driver either tests
-every instance inside the given parameter box (exhaustive) or draws random
-instances with a seeded generator until ``trials`` satisfy the hypothesis
-(sampled).  A check is one test per instance, returning None when the
-instance fails the hypothesis.  A passing report has an empty
-counterexample list; sampled runs also record how many draws were rejected
-for failing the hypothesis.  Exhaustive runs seed the random weights of
-check c3 with 0, so every mode is reproducible.  Rectangles proj-intersect
-exactly when their I-points in X1 plus J-points in X2 meet, so the
-proj-intersecting families are the cliques of the ``search.meet_rows``
-rows.  Exhaustive runs list them with ``_cliques``, one bitset clique
-enumerator in ascending vertex order.  Sampled runs grow each family by
-uniform picks among the candidates compatible with every member so far:
-the law of keeping each compatible vertex of a uniform random order, whose
-unvisited rest is uniform and holds every candidate (a visited vertex was
-taken, or was incompatible then and still is); one pick per member.
+Each check validates its stated hypotheses, then covers every instance
+inside the given parameter box (exhaustive) or draws random instances with a
+seeded generator until ``trials`` satisfy the hypothesis (sampled).  A
+passing report has an empty counterexample list; sampled runs also record
+how many draws failed the hypothesis.  Exhaustive runs seed the random
+weights of check c3 with 0, so every mode is reproducible.
 
-The other relation tests also read bitset rows built once per call.  The
-family checks take each rectangle's blocking partners (same J and
-I-distance >= b+1, or same I and J-distance >= b+1) from
-``find_blocking_pairs`` on the whole shape space; the predicate is
-pairwise, so a family's blocking pairs are the space's pairs inside its
-member mask, and check 8 intersects that mask with one shape class at a
-time.  Checks 9 and c3 judge a family on its shape-class sizes alone; c3's
-hypotheses (b, the shapes, positive weights, proj-intersection) hold by
-construction, so it computes the two sides of the weighted sum without
-re-testing them.  Check 2 keeps one far-row per interval (the intervals at
-distance >= b+1).  Check 1 keeps the adjacency rows of the distance graph; in
-exhaustive mode ``_cliques`` lists only its cliques of size k and k+1, and
-the C(n,k+1) + C(n,k) subsets are counted arithmetically, since a subset
-that is not a clique cannot fail.
+Rectangles proj-intersect exactly when their I-points in X1 plus J-points in
+X2 meet, so the proj-intersecting families are the cliques of the
+``search.meet_rows`` rows: listed by ``_cliques`` (exhaustive), or grown by
+uniform picks among the candidates compatible with every member so far
+(sampled), the law of keeping each compatible vertex of a random order.  A
+family is judged on its member bitset: its blocking pairs are the pairs of
+the space's ``blocking_rows`` inside it, and checks 9 and c3 read its class
+sizes alone (c3's hypotheses hold by construction).
+
+Exhaustive checks 1, 2 and 4 count their instances and list only those that
+can fail: the k- and (k+1)-cliques of check 1's distance graph, the
+(k+b+1)-cliques of check 2's near graph (distance <= b), and check 4's thirds
+whose v misses the base and whose u meets both I-projections.
 
 Check ids (the CLI exposes the same numbering):
 
@@ -64,7 +53,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, inf
 
 from .cyclic import (
@@ -73,7 +62,7 @@ from .cyclic import (
     Rectangle,
     _arc_mask,
     all_intervals,
-    find_blocking_pairs,
+    blocking_rows,
     interval_distance,
     point_distance,
 )
@@ -103,15 +92,10 @@ class VerificationReport:
         return not self.counterexamples
 
     def to_json(self) -> dict:
-        return {
-            "lemma": self.check,
-            "params": self.params,
-            "mode": self.mode,
-            "instances": self.instances,
-            "counterexamples": self.counterexamples,
-            "hypothesis_rejections": self.hypothesis_rejections,
-            "elapsed_ms": round(self.elapsed_s * 1000.0, 3),
-        }
+        return {"lemma": self.check, "params": self.params, "mode": self.mode,
+                "instances": self.instances, "counterexamples": self.counterexamples,
+                "hypothesis_rejections": self.hypothesis_rejections,
+                "elapsed_ms": round(self.elapsed_s * 1000.0, 3)}
 
 
 class InfeasibleExhaustive(ValueError):
@@ -144,10 +128,9 @@ def _drive(mode, rng, trials, everything, draw, test):
     tests ``draw(rng)`` until ``trials`` instances satisfy the hypothesis or
     ``trials * SAMPLE_FACTOR`` draws are spent.
     """
-    if mode == EXHAUSTIVE:
-        source, target = everything, inf
-    else:
-        source, target = (draw(rng) for _ in range(trials * SAMPLE_FACTOR)), trials
+    exhaustive = mode == EXHAUSTIVE
+    source = everything if exhaustive else (draw(rng) for _ in range(trials * SAMPLE_FACTOR))
+    target = inf if exhaustive else trials
     instances, bad, rejections = 0, [], 0
     for instance in source:
         out = test(instance)
@@ -159,7 +142,7 @@ def _drive(mode, rng, trials, everything, draw, test):
             bad.append(out)
         if instances == target:
             break
-    return instances, bad, rejections if mode == SAMPLED else 0
+    return instances, bad, 0 if exhaustive else rejections
 
 
 def _proj_rows(n1: int, n2: int, rects: list[Rectangle]) -> list[int]:
@@ -196,58 +179,46 @@ def _cliques(rows: list[int], min_size: int, max_size: int | None = None):
         yield clique
 
 
-def _nth_bit(mask: int, r: int) -> int:
-    """The position of the r-th (from 0) lowest set bit of ``mask``.
-
-    Split off the top n - r set bits (n = popcount) of ``bin(mask)``: what
-    is left after the last of them has that bit's position as its length.
-    """
-    return len(bin(mask).split("1", mask.bit_count() - r)[-1])
-
-
 def _sample_family(rng: random.Random, rows: list[int], size_range: tuple[int, int]) -> int:
-    """The bitset of a random proj-intersecting family grown toward a random target size."""
-    target = rng.randint(*size_range)
+    """The bitset of a random proj-intersecting family grown toward a random target size.
+
+    A pick makes ``rng.randrange(n)``'s getrandbits calls for the n candidates
+    left and takes the r-th lowest: r itself while they are the whole space,
+    then the length of what ``bin(cand)`` keeps after its top n - r set bits.
+    """
+    target, n = rng.randint(*size_range), len(rows)
     getrandbits = rng.getrandbits
-    mask, cand = 0, (1 << len(rows)) - 1
-    while cand and mask.bit_count() < target:
-        n = cand.bit_count()
+    mask, cand, size = 0, (1 << n) - 1, 0
+    while cand and size < target:
         r = getrandbits(k := n.bit_length())
-        while r >= n:  # rng.randrange(n), same getrandbits calls
+        while r >= n:
             r = getrandbits(k)
-        v = _nth_bit(cand, r)
+        v = len(bin(cand).split("1", n - r)[-1]) if size else r
         mask |= 1 << v
         cand &= rows[v]
+        size += 1
+        n = cand.bit_count()
     return mask
 
 
 def _shape_space(n1: int, n2: int, shapes) -> list[Rectangle]:
-    rects = set()
-    for k, l in shapes:
-        for i in all_intervals(n1, k):
-            for j in all_intervals(n2, l):
-                rects.add(Rectangle(i, j))
-    return sorted(rects)
+    """Every rectangle of the shapes, built in sorted order from the sorted sides."""
+    i_sides = sorted({iv for k, _ in shapes for iv in all_intervals(n1, k)})
+    j_sides = sorted({iv for _, l in shapes for iv in all_intervals(n2, l)})
+    return [Rectangle(i, j) for i in i_sides for j in j_sides if (i.length, j.length) in shapes]
 
 
 class _BlockingRows:
-    """Blocking-pair rows over a shape space, built once per check.
+    """Blocking-pair rows over a sorted shape space, built once per check.
 
     ``rows[kind][v]`` is the bitset of rectangles forming a ``kind`` pair with
-    rectangle v, taken from ``find_blocking_pairs`` on the whole space.  The
-    predicate is pairwise, so a family's blocking pairs are the space's pairs
-    with both ends in the family's member mask.
+    rectangle v, from ``blocking_rows``; ``j_arcs[v]`` is the bitset of v's
+    J-points, which tells distinct J-intervals apart.
     """
 
     def __init__(self, rects: list[Rectangle], b: int):
-        index, j_ids = {r: v for v, r in enumerate(rects)}, {}
-        self.rects = rects
-        self.j_ids = [j_ids.setdefault(r.j, len(j_ids)) for r in rects]  # integer J-base ids
-        self.rows = {J_BASE: [0] * len(rects), I_BASE: [0] * len(rects)}
-        for p in find_blocking_pairs(rects, b):
-            x, y = index[p.first], index[p.second]
-            self.rows[p.kind][x] |= 1 << y
-            self.rows[p.kind][y] |= 1 << x
+        self.rows = dict(zip((J_BASE, I_BASE), blocking_rows(rects, b)))
+        self.j_arcs = [_arc_mask(r.j) for r in rects]
         self.shape_masks: dict[tuple[int, int], int] = {}
         for v, r in enumerate(rects):
             self.shape_masks[r.shape] = self.shape_masks.get(r.shape, 0) | 1 << v
@@ -259,12 +230,8 @@ class _BlockingRows:
 
     def j_bases(self, mask: int) -> int:
         """How many distinct shared-J bases the blocking pairs inside ``mask`` have."""
-        row, j_ids = self.rows[J_BASE], self.j_ids
-        return len({j_ids[v] for v in iter_bits(mask) if row[v] & mask})
-
-    def members(self, mask: int) -> list[Rectangle]:
-        """The rectangles in ``mask``, in sorted order."""
-        return [self.rects[v] for v in iter_bits(mask)]
+        row, j_arcs = self.rows[J_BASE], self.j_arcs
+        return len({j_arcs[v] for v in iter_bits(mask) if row[v] & mask})
 
     def class_sizes(self, mask: int) -> dict[tuple[int, int], int]:
         """Shape -> member count for every shape class present in ``mask``."""
@@ -276,10 +243,9 @@ def _family_check(params, mode, rng, trials, shapes, test, min_size: int = 2):
     """Drive ``test(mask, blocking)`` over proj-intersecting families of the shapes.
 
     ``mask`` is the family's bitset over the sorted shape space and
-    ``blocking`` the space's ``_BlockingRows``.  ``test`` returns None when
-    the family fails the hypothesis, else whether the conclusion holds;
-    families smaller than ``min_size`` are rejected, and a space smaller
-    than ``min_size`` has no instance in either mode.
+    ``blocking`` the space's ``_BlockingRows``; ``test`` returns None when the
+    family fails the hypothesis, else whether the conclusion holds.  Families
+    smaller than ``min_size`` are rejected; a smaller space has no instance.
     """
     n1, n2, b = _param(params, "n1", "n2", "b")
     rects = _shape_space(n1, n2, shapes)
@@ -292,7 +258,7 @@ def _family_check(params, mode, rng, trials, shapes, test, min_size: int = 2):
         if mask.bit_count() < min_size:
             return None
         holds = test(mask, blocking)
-        return {"family": _rect_json(blocking.members(mask))} if holds is False else holds
+        return {"family": _rect_json(rects[v] for v in iter_bits(mask))} if holds is False else holds
 
     return _drive(mode, rng, trials, map(mask_of, _cliques(rows, min_size)),
                   lambda rng: _sample_family(rng, rows, (min_size, len(rects))), judge)
@@ -350,21 +316,25 @@ def _check_interval_dispersion(params, mode, rng, trials):
     _require(2 * (k + b) <= n, "2(k+b) <= n")
     intervals = all_intervals(n, k)
     need = k + b + 1
-    if mode == EXHAUSTIVE and comb(len(intervals), need) > EXHAUSTIVE_CAP:
-        raise InfeasibleExhaustive("too many interval subsets; use sampled mode")
-    # far[p]: the intervals at distance >= b+1 from interval p
-    far = [mask_of(q for q, other in enumerate(intervals) if interval_distance(iv, other) >= b + 1)
-           for iv in intervals]
+    # near[p]: the intervals within distance b of interval p, p itself included
+    near = [mask_of(q for q, other in enumerate(intervals) if interval_distance(iv, other) <= b)
+            for iv in intervals]
 
-    def test(sub):
-        mask = mask_of(sub)
-        if any(far[p] & mask for p in sub):
-            return True
+    def record(sub):
         return {"intervals": sorted((intervals[p].start, intervals[p].length) for p in sub)}
 
+    if mode == EXHAUSTIVE:
+        subsets = comb(len(intervals), need)
+        if subsets > EXHAUSTIVE_CAP:
+            raise InfeasibleExhaustive("too many interval subsets; use sampled mode")
+        # every need-subset is an instance; it fails exactly when it is a near-clique
+        return subsets, [record(sub) for sub in _cliques(near, need, need)], 0
+
+    def test(sub):  # passes when some two of the intervals lie far apart
+        return True if any(mask_of(sub) & ~near[p] for p in sub) else record(sub)
+
     # sampling positions draws the same random numbers as sampling the intervals
-    return _drive(mode, rng, trials, combinations(range(len(intervals)), need),
-                  lambda rng: rng.sample(range(len(intervals)), need), test)
+    return _drive(mode, rng, trials, (), lambda rng: rng.sample(range(len(intervals)), need), test)
 
 
 # ---------------------------------------------------------------- check 3
@@ -395,12 +365,24 @@ def _check_third_rectangle_overlap(params, mode, rng, trials):
     _require(bool(far_pairs), "some I-interval pair at distance >= b+1 must exist")
     u_arcs = arcs(iv for s in range(1, b + 1) for iv in all_intervals(n1, s))
     v_arcs = arcs(iv for s in range(1, b + 1) for iv in all_intervals(n2, s))
-    if mode == EXHAUSTIVE and (len(j_arcs) * len(far_pairs) * len(u_arcs)
-                               * len(v_arcs) > EXHAUSTIVE_CAP):
-        raise InfeasibleExhaustive("too many triples; use sampled mode")
-    # a blocking pair is its two rectangles sharing the base j0
-    pairs = [(j0, a1, a2) for j0 in j_arcs for a1, a2 in far_pairs]
-    thirds = list(product(u_arcs, v_arcs))
+
+    def record(j0, i1, i2, uu, vv):
+        return {"base": (j0.start, j0.length),
+                "pair": _rect_json([Rectangle(i1, j0), Rectangle(i2, j0)]),
+                "third": (uu.start, uu.length, vv.start, vv.length)}
+
+    if mode == EXHAUSTIVE:  # an instance: a blocking pair sharing the base j0, a third u x v
+        if len(j_arcs) * len(far_pairs) * len(u_arcs) * len(v_arcs) > EXHAUSTIVE_CAP:
+            raise InfeasibleExhaustive("too many triples; use sampled mode")
+        # a third whose v meets the base passes; one whose v misses it meets
+        # the hypothesis only when u meets both I-projections, and then fails
+        both_u = [[uu for uu, mu in u_arcs if m1 & mu and m2 & mu] for (_, m1), (_, m2) in far_pairs]
+        missing = [(j0, [vv for vv, mv in v_arcs if not mj & mv]) for j0, mj in j_arcs]
+        instances = sum((len(v_arcs) - len(vs)) * len(u_arcs) * len(far_pairs)
+                        + len(vs) * sum(map(len, both_u)) for _, vs in missing)
+        return instances, [record(j0, i1, i2, uu, vv) for j0, vs in missing
+                           for ((i1, _), (i2, _)), us in zip(far_pairs, both_u)
+                           for uu in us for vv in vs], 0
 
     def draw(rng):
         j0 = rng.choice(j_arcs)
@@ -413,11 +395,9 @@ def _check_third_rectangle_overlap(params, mode, rng, trials):
             return True
         if not (m1 & mu and m2 & mu):
             return None
-        return {"base": (j0.start, j0.length),
-                "pair": _rect_json([Rectangle(i1, j0), Rectangle(i2, j0)]),
-                "third": (uu.start, uu.length, vv.start, vv.length)}
+        return record(j0, i1, i2, uu, vv)
 
-    return _drive(mode, rng, trials, product(pairs, thirds), draw, test)
+    return _drive(mode, rng, trials, (), draw, test)
 
 
 # ------------------------------------------------------- checks 5, 6, c1, c2
@@ -441,8 +421,10 @@ def _check_distinct_base_collapse(params, mode, rng, trials):
     def test(mask, blocking):
         if blocking.j_bases(mask) < l:
             return None
-        members = blocking.members(mask)
-        return any(all(r.j.contains(beta) for r in members) for beta in range(n2))
+        common = -1  # the J-points every member shares
+        for v in iter_bits(mask):
+            common &= blocking.j_arcs[v]
+        return common != 0
 
     return _family_check(params, mode, rng, trials, [(k, l)], test)
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ekrlab import cli
 from ekrlab.cli import main, parse_profiles
 from ekrlab.families import Profile
 
@@ -80,6 +81,15 @@ class TestBoundsCommand:
         assert code == 2 and out == ""
         assert f"--out {tmp_path} is a directory" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_prints_nothing(self, capsys, tmp_path):
+        # once printed the whole table, then exited 2 on opening the file
+        target = tmp_path / "missingdir" / "x.json"
+        code, out, err = run_cli(capsys, "bounds", "--n1", "4", "--n2", "4", "--profiles", "2,2",
+                                 "--out", str(target))
+        assert code == 2 and out == ""
+        assert "No such file or directory" in err
+        assert not target.parent.exists()
 
     def test_unknown_bound_name_exit_2(self, capsys):
         # an unknown --which once printed an empty table with exit 0
@@ -183,9 +193,10 @@ class TestVerifyCommand:
 
     def test_report_written(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
-        code, _, _ = run_cli(capsys, "verify-lemma", "2", "--n", "10", "--k", "2",
-                             "--b", "2", "--out", str(out_path))
+        code, out, _ = run_cli(capsys, "verify-lemma", "2", "--n", "10", "--k", "2",
+                               "--b", "2", "--format", "json", "--out", str(out_path))
         assert code == 0
+        assert out_path.read_text() == out  # the file holds the JSON report as printed
         data = json.loads(out_path.read_text())
         assert data["instances"] == 252
 
@@ -239,6 +250,17 @@ class TestDoubleCountCommand:
                                "--seed", "1")
         assert code == 2
         assert "--profiles" in err
+
+    def test_part_size_cap_before_enumeration(self, capsys, monkeypatch):
+        # C(22,11) = 705432 candidate sets were built just to print the cap error
+        def unbounded(*args):
+            raise AssertionError("candidate sets enumerated past the cap")
+
+        monkeypatch.setattr(cli, "candidate_sets", unbounded)
+        code, out, err = run_cli(capsys, "double-count", "--n1", "22", "--profiles", "11",
+                                 "--random", "1", "--seed", "1")
+        assert code == 2 and out == ""
+        assert "double counting limited to parts of size <= 6" in err
 
     @pytest.mark.parametrize("extra", [[], ["--random", "0"], ["--random", "-3"]])
     def test_no_random_families_is_a_usage_error(self, capsys, extra):

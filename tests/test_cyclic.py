@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from ekrlab.cyclic import (
     Interval,
     Rectangle,
     all_intervals,
+    blocking_rows,
     canonical_permutations,
     find_blocking_pairs,
     interval_distance,
@@ -179,6 +181,27 @@ class TestGroupedKernels:
     @settings(max_examples=200, deadline=None)
     def test_blocking_pairs_match_pairwise_scan(self, rects, b):
         assert find_blocking_pairs(rects, b) == _blocking_pairs_by_scan(rects, b)
+
+    @given(rects=rect_lists(), b=st.integers(1, 4), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_blocking_rows_match_pairwise_scan(self, rects, b, data):
+        # the rows behind both find_blocking_pairs and the verifiers' blocking checks
+        if rects:  # repeated rectangles pair with the same partners, never with each other
+            rects = rects + data.draw(st.lists(st.sampled_from(rects), max_size=6))
+        rs = sorted(rects)
+        j_rows, i_rows = blocking_rows(rs, b)
+        for rows in (j_rows, i_rows):
+            assert len(rows) == len(rs)
+            assert all((rows[x] >> y & 1) == (rows[y] >> x & 1)
+                       for x in range(len(rs)) for y in range(len(rs)))
+            assert all(rows[x] >> x & 1 == 0 and rows[x] >> len(rs) == 0 for x in range(len(rs)))
+        pairs = []
+        for x, y in combinations(range(len(rs)), 2):
+            if j_rows[x] >> y & 1:
+                pairs.append(BlockingPair(J_BASE, rs[x], rs[y], rs[x].j))
+            if i_rows[x] >> y & 1:
+                pairs.append(BlockingPair(I_BASE, rs[x], rs[y], rs[x].i))
+        assert tuple(pairs) == _blocking_pairs_by_scan(rects, b)
 
     def test_blocking_pairs_match_on_whole_spaces(self):
         for n, b in ((9, 2), (8, 1), (10, 3)):

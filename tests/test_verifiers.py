@@ -3,13 +3,20 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ekrlab import verifiers
-from ekrlab.cyclic import J_BASE, find_blocking_pairs, point_distance, proj_intersecting
+from ekrlab.cyclic import (
+    J_BASE,
+    all_intervals,
+    find_blocking_pairs,
+    interval_distance,
+    point_distance,
+    proj_intersecting,
+)
 from ekrlab.families import iter_bits
 from ekrlab.verifiers import InfeasibleExhaustive, SAMPLED, verify_check
 
@@ -426,6 +433,96 @@ def test_exhaustive_cliques_match_subset_filter(monkeypatch, dist, kinds):
     assert seen == kinds
 
 
+def _dispersion_by_subsets(n, k, b, dist):
+    """Reference: exhaustive check 2 as a pairwise test of every (k+b+1)-subset of intervals."""
+    intervals = all_intervals(n, k)
+    near = {(p, q): dist(p, q) <= b for p, q in combinations(intervals, 2)}
+    instances, bad = 0, []
+    for sub in combinations(intervals, k + b + 1):
+        instances += 1
+        if all(near[pq] for pq in combinations(sub, 2)):
+            bad.append({"intervals": sorted((iv.start, iv.length) for iv in sub)})
+    return instances, sorted(bad, key=repr)
+
+
+def _halved_interval_distance(p, q):
+    return interval_distance(p, q) // 2
+
+
+@pytest.mark.parametrize("dist,failing", [(interval_distance, False),
+                                          (_halved_interval_distance, True)])
+def test_exhaustive_dispersion_matches_subset_loop(monkeypatch, dist, failing):
+    # the counted path lists the near-cliques; a weaker distance makes some
+    monkeypatch.setattr(verifiers, "interval_distance", dist)
+    found = 0
+    for n in range(4, 15):
+        for k in range(1, n // 2):
+            for b in range(1, n // 2 - k + 1):
+                report = verify_check("2", {"n": n, "k": k, "b": b})
+                want = _dispersion_by_subsets(n, k, b, dist)
+                assert (report.instances, report.counterexamples) == want, (n, k, b)
+                found += len(want[1])
+    assert (found > 0) == failing
+
+
+def _overlap_by_triples(n1, n2, k, l, b, dist):
+    """Reference: exhaustive check 4 as a test of every (base, far I-pair, third) instance.
+
+    None when the check's hypotheses cannot hold: a side longer than its
+    cycle, or no I-interval pair at distance >= b+1.
+    """
+    if n1 < b or n2 < b:
+        return None
+    i_ivs = all_intervals(n1, k)
+    far_pairs = [(a, c) for a, c in combinations(range(len(i_ivs)), 2)
+                 if dist(i_ivs[a], i_ivs[c]) >= b + 1]
+    if not far_pairs:
+        return None
+    us = [iv for s in range(1, b + 1) for iv in all_intervals(n1, s)]
+    vs = [iv for s in range(1, b + 1) for iv in all_intervals(n2, s)]
+    u_meets = [[u.overlaps(i) for i in i_ivs] for u in us]
+    instances, bad = 0, []
+    for j0 in all_intervals(n2, l):
+        v_meets = [v.overlaps(j0) for v in vs]
+        for a, c in far_pairs:
+            for u, meets_i in zip(us, u_meets):
+                for v, meets_j in zip(vs, v_meets):
+                    # hypothesis: u x v proj-intersects both I_a x j0 and I_c x j0
+                    if not ((meets_i[a] or meets_j) and (meets_i[c] or meets_j)):
+                        continue
+                    instances += 1
+                    if not meets_j:
+                        pair = sorted([i.start, i.length, j0.start, j0.length]
+                                      for i in (i_ivs[a], i_ivs[c]))
+                        bad.append({"base": (j0.start, j0.length), "pair": pair,
+                                    "third": (u.start, u.length, v.start, v.length)})
+    return instances, sorted(bad, key=repr)
+
+
+def _shifted_interval_distance(p, q):
+    return interval_distance(p, q) + 2
+
+
+@pytest.mark.parametrize("dist,failing", [(interval_distance, False),
+                                          (_shifted_interval_distance, True)])
+def test_exhaustive_overlap_matches_triple_loop(monkeypatch, dist, failing):
+    # a weaker distance calls near pairs far, and a short third then meets both
+    monkeypatch.setattr(verifiers, "interval_distance", dist)
+    found = 0
+    for b in (1, 2):
+        for k, l, n1, n2 in product(range(1, b + 1), range(1, b + 1), range(1, 11), range(1, 11)):
+            params = {"n1": n1, "n2": n2, "k": k, "l": l, "b": b}
+            want = _overlap_by_triples(n1, n2, k, l, b, dist)
+            if want is None:
+                with pytest.raises(ValueError):
+                    verify_check("4", params)
+                continue
+            report = verify_check("4", params)
+            assert (report.instances, report.counterexamples) == want, params
+            found += len(want[1])
+    assert (found > 0) == failing
+
+
 def _random_graph(rng, m, density):
     rows = [0] * m
     for u, v in combinations(range(m), 2):
@@ -510,13 +607,6 @@ class TestSampleFamily:
         full = (1 << 200) - 1  # a complete graph keeps every pick
         rows = [full & ~(1 << v) for v in range(200)]
         assert verifiers._sample_family(rng, rows, (200, 200)) == full
-
-    def test_nth_bit(self):
-        rng = random.Random(20261019)
-        for _ in range(400):
-            mask = rng.getrandbits(rng.randrange(1, 201))
-            bits = sorted(iter_bits(mask))
-            assert [verifiers._nth_bit(mask, r) for r in range(len(bits))] == bits, mask
 
     def test_frequencies_match_exact_law(self):
         rows = _random_graph(random.Random(3), 5, 0.5)
