@@ -14,18 +14,13 @@ from .bounds import (
     two_sided_bound,
 )
 from .conjectures import (
-    ConstructionKind,
-    ConstructionSpec,
     CrossResult,
     GridCell,
     HuntReport,
     ParameterGrid,
     best_construction,
-    build_construction,
-    canonical_spec,
     cross_oracle,
     evaluate_cell,
-    expected_construction_size,
     hunt,
     max_cross_intersecting,
 )

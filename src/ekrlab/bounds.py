@@ -74,10 +74,12 @@ def nontrivial_bound(u: Universe, p: tuple[int, int]) -> int:
 
     The larger of the two one-sided constructions: a non-trivial extremal
     family in one part crossed with everything in the other.  ``hunt`` tests
-    this value; it is not a proven maximum.  The two-part Hilton-Milner family
-    H(x, T) (every (k, l)-set through x meeting a fixed (k, l)-set T with x
-    not in T, plus T) beats it at k = l = 2, n1 = n2 = n for every n >= 5: 3n^2 - 10n + 10
-    members against 3*C(n, 2).
+    this value; it is not a proven maximum.  At k = 1 (or l = 1) the term for
+    that part counts a star, which is trivially intersecting, so it can lift
+    the ceiling above every non-trivial construction.  The two-part
+    Hilton-Milner family H(x, T) (every (k, l)-set through x meeting a fixed
+    (k, l)-set T with x not in T, plus T) beats it at k = l = 2, n1 = n2 = n
+    for every n >= 5: 3n^2 - 10n + 10 members against 3*C(n, 2).
     """
     k, l = p
     _require_half(u.n1, k)

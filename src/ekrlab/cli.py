@@ -41,7 +41,7 @@ from .families import (
     profile_of,
     trivial_witness,
 )
-from .search import Constraint, SearchBudget, max_intersecting
+from .search import VERTEX_CAP, Constraint, SearchBudget, _capped_candidates, max_intersecting
 from .verifiers import EXHAUSTIVE, SAMPLED, verify_check
 
 
@@ -124,7 +124,7 @@ def cmd_bounds(args) -> int:
 def cmd_enumerate(args) -> int:
     u = Universe(args.n1, args.n2)
     profiles = parse_profiles(args.profiles)
-    masks = candidate_sets(u, profiles)
+    _, masks = _capped_candidates(u, profiles, VERTEX_CAP, "vertex")  # counted before listed
     sets = [list(iter_bits(m)) for m in masks]
     payload = {"n1": u.n1, "n2": u.n2, "profiles": [list(p) for p in profiles],
                "count": len(sets), "sets": sets}

@@ -1,14 +1,15 @@
 """Extremal constructions and conjecture hunting.
 
-The constructions realize the product-type ceilings of ``bounds``.  The
-kind table gives each construction kind its anchor part, its free part and
-its predicate class; the conjecture table gives each conjecture its
-constraint, its ceiling and its kinds.  Every member is an anchor-part set
-crossed with a free-part set, so one code path serves both orientations: a
-punctured star in the anchor part (all sets through x meeting a fixed set
-K, plus K itself) for the non-trivial kinds, and the anchored two-step
-product construction for the two-sided kinds.  ``HM_ONE_PART`` is the
-punctured star with an empty free part.
+The constructions realize the product-type ceilings of ``bounds``, except
+where a non-trivial ceiling's larger term counts a star (k = 1 or l = 1; see
+``nontrivial_bound``).  The conjecture table gives each conjecture its
+constraint and its ceiling; one builder, ``_construction``, makes the
+canonical family for one anchor part, and ``best_construction`` tries anchor
+X1, then X2.  Every member is an
+anchor-part set crossed with a free-part set: a punctured star in the anchor
+part (all sets through x meeting a fixed set K, plus K itself) for the
+non-trivial conjecture, and the anchored two-step product construction for
+the two-sided one.
 
 The hunt compares exact search maxima against those ceilings over a
 parameter grid and persists one JSON line per cell so interrupted sweeps
@@ -27,54 +28,19 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .bounds import (
-    _nontrivial_term,
-    _require_half,
-    _two_sided_term,
-    nontrivial_bound,
-    two_sided_bound,
-)
-from .families import (
-    X1,
-    X2,
-    Family,
-    Profile,
-    Universe,
-    iter_bits,
-    mask_of,
-    sort_key,
-)
+from .bounds import _require_half, nontrivial_bound, two_sided_bound
+from .families import Family, Profile, Universe, iter_bits, mask_of, sort_key
 from .search import (Constraint, SearchBudget, _BudgetExhausted, _satisfies, max_intersecting,
                      meet_rows)
 
 
-class ConstructionKind(Enum):
-    HM_ONE_PART = "hm-one-part"
-    NONTRIVIAL_X1 = "nontrivial-side-x1"
-    NONTRIVIAL_X2 = "nontrivial-side-x2"
-    TWO_SIDED_X1 = "two-sided-x1-anchor"
-    TWO_SIDED_X2 = "two-sided-x2-anchor"
-
-
-# kind -> (anchor part, free part, predicate class); HM_ONE_PART has no free part
-_KINDS = {
-    ConstructionKind.HM_ONE_PART: (X1, None, Constraint.NONTRIVIAL),
-    ConstructionKind.NONTRIVIAL_X1: (X1, X2, Constraint.NONTRIVIAL),
-    ConstructionKind.NONTRIVIAL_X2: (X2, X1, Constraint.NONTRIVIAL),
-    ConstructionKind.TWO_SIDED_X1: (X1, X2, Constraint.TWO_SIDED),
-    ConstructionKind.TWO_SIDED_X2: (X2, X1, Constraint.TWO_SIDED),
-}
-
-# conjecture -> (constraint, ceiling, construction kinds)
+# conjecture -> (constraint, ceiling)
 _CONJECTURES = {
-    1: (Constraint.NONTRIVIAL, nontrivial_bound,
-        (ConstructionKind.NONTRIVIAL_X1, ConstructionKind.NONTRIVIAL_X2)),
-    2: (Constraint.TWO_SIDED, two_sided_bound,
-        (ConstructionKind.TWO_SIDED_X1, ConstructionKind.TWO_SIDED_X2)),
+    1: (Constraint.NONTRIVIAL, nontrivial_bound),
+    2: (Constraint.TWO_SIDED, two_sided_bound),
 }
 
 
@@ -85,125 +51,61 @@ def _conjecture(conjecture: int) -> tuple:
     return _CONJECTURES[conjecture]
 
 
-def _parts(kind: ConstructionKind, u: Universe,
-           p: tuple[int, int]) -> tuple[range, int, range, int]:
-    """The anchor part's elements and set size, then the free part's."""
-    anchor, free, _ = _KINDS[kind]
-    k, l = Profile(*p)
-    side = {X1: (u.elements(X1), k), X2: (u.elements(X2), l), None: (range(0), 0)}
-    return (*side[anchor], *side[free])
+def _construction(constraint: Constraint, u: Universe, anchor: range, a: int,
+                  free: range, f: int) -> Family:
+    """The canonical construction with a-sets of the anchor part and f-sets of the free part.
 
-
-@dataclass(frozen=True)
-class ConstructionSpec:
-    kind: ConstructionKind
-    universe: Universe
-    profile: Profile
-    x: int
-    k_set: tuple[int, ...]
-    l_set: tuple[int, ...] = ()
-    l_prime: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if _KINDS[self.kind][2] is Constraint.NONTRIVIAL:
-            if self.x in self.k_set:
-                raise ValueError("the fixed element x must avoid K")
-        elif set(self.l_set) & set(self.l_prime):
-            raise ValueError("L and L' must be disjoint")
-        elif self.x not in self.l_prime:
-            raise ValueError("x must lie in L'")
-        elif self.x in self.l_set:
-            raise ValueError("x must avoid L")
-
-
-def canonical_spec(kind: ConstructionKind, u: Universe, p: tuple[int, int]) -> ConstructionSpec:
-    """A deterministic parameter choice: x first in the anchor part, K / L' / L right after it.
-
-    Elements count from the part's first index, so a part that u lacks
-    gives an invalid spec or family, not an IndexError.
+    x is the anchor part's first element.  The punctured star is every a-set
+    through x meeting K, the a elements after x, times every free set, plus K
+    times every free set.  The two-step family is every a-set through x
+    meeting L times every free set, plus K + L, plus L' times every free set
+    meeting K, where L' is the a elements from x, L the next a, and K the
+    first f free elements.  The family is checked to be intersecting and to
+    satisfy ``constraint``.
     """
-    anchor, a, free, f = _parts(kind, u, p)
-    x = anchor.start
-    if _KINDS[kind][2] is Constraint.NONTRIVIAL:
-        return ConstructionSpec(kind, u, Profile(*p), x, tuple(range(x + 1, x + a + 1)))
-    return ConstructionSpec(kind, u, Profile(*p), x, tuple(range(free.start, free.start + f)),
-                            tuple(range(x + a, x + 2 * a)), tuple(range(x, x + a)))
-
-
-def _require_universe(kind: ConstructionKind, u: Universe) -> None:
-    """A one-part kind leaves X2 empty, so it needs a one-part universe."""
-    if _KINDS[kind][1] is None and u.n2 != 0:
-        raise ValueError("one-part construction needs n2 = 0")
-
-
-def expected_construction_size(kind: ConstructionKind, u: Universe, p: tuple[int, int]) -> int:
-    """Closed form for the construction size: its class's bound term at (anchor, free) sizes.
-
-    A kind whose construction cannot exist in u (a part it needs is
-    missing, or a part it leaves empty is not) raises ValueError, as
-    ``build_construction`` does.
-    """
-    _require_universe(kind, u)
-    anchor, a, free, f = _parts(kind, u, p)
-    term = _nontrivial_term if _KINDS[kind][2] is Constraint.NONTRIVIAL else _two_sided_term
-    return term(len(anchor), a, len(free), f)
-
-
-def build_construction(spec: ConstructionSpec) -> Family:
-    """Materialize the construction and verify it lands in its predicate class.
-
-    The two-step family is every anchor set through x meeting L times every
-    free set, plus K + L, plus L' + every free set meeting K.
-    """
-    u, kind = spec.universe, spec.kind
-    constraint = _KINDS[kind][2]
-    _require_universe(kind, u)
-    anchor, a, free, f = _parts(kind, u, spec.profile)
-    xbit, kmask = 1 << spec.x, mask_of(spec.k_set)
+    x, xbit = anchor.start, 1 << anchor.start
     free_sets = [mask_of(sub) for sub in combinations(free, f)]
     if constraint is Constraint.NONTRIVIAL:
-        meet, extra = kmask, [kmask | b for b in free_sets]
+        meet = kmask = mask_of(range(x + 1, x + a + 1))
+        extra = [kmask | b for b in free_sets]
     else:
-        meet, lpmask = mask_of(spec.l_set), mask_of(spec.l_prime)
+        kmask = mask_of(range(free.start, free.start + f))
+        meet, lpmask = mask_of(range(x + a, x + 2 * a)), mask_of(range(x, x + a))  # L, L'
         extra = [kmask | meet] + [b | lpmask for b in free_sets if b & kmask]
     sets = [m | b for sub in combinations(anchor, a)
             if (m := mask_of(sub)) & xbit and m & meet for b in free_sets]
     fam = Family(u, tuple(sorted(set(sets + extra), key=sort_key)))
     # intersecting: every member's meet row, with its own bit, covers the family
     everyone = (1 << len(fam.sets)) - 1
+    what = f"the {constraint.value} construction anchored at {x}"
     if any(row | 1 << i != everyone for i, row in enumerate(meet_rows(u, fam.sets))):
-        raise ValueError(f"{kind.value} construction is not intersecting")
+        raise ValueError(f"{what} is not intersecting")
     if not _satisfies(fam, constraint):
-        what = "trivially intersecting" if constraint is Constraint.NONTRIVIAL else "not two-sided"
-        raise ValueError(f"{kind.value} construction is {what}")
+        raise ValueError(f"{what} is trivially intersecting" if constraint is Constraint.NONTRIVIAL
+                         else f"{what} is not two-sided")
     return fam
 
 
-def feasible_kinds(conjecture: int, u: Universe, p: tuple[int, int]) -> list[ConstructionKind]:
-    """Construction kinds whose predicate class is non-empty at these parameters.
-
-    The punctured star is non-trivial only when its anchored part size is at
-    least 2.  The two-sided construction works as soon as either part size
-    is at least 2: one missing pair comes from the anchor's almost-star, the
-    other from disjoint sets on the free side (or, with a one-sized anchor,
-    from the cross-intersecting tail, which then needs the free size >= 2).
-    """
-    constraint, _, kinds = _conjecture(conjecture)
-    feasible = []
-    for kind in kinds:
-        _, a, _, f = _parts(kind, u, p)
-        if a >= 2 or (constraint is Constraint.TWO_SIDED and f >= 2):
-            feasible.append(kind)
-    return feasible
-
-
 def best_construction(conjecture: int, u: Universe, p: tuple[int, int]) -> Family | None:
-    """Largest feasible construction for the cell, or None when none exists."""
+    """Largest feasible construction for the cell, or None when none exists.
+
+    Anchor X1 is tried first, then X2, and only a strictly larger family
+    replaces the first.  The punctured star is non-trivial only when its
+    anchor size a is at least 2.  The two-step family is two-sided as soon as
+    a or the free size f is at least 2: one missing pair comes from the
+    anchor's almost-star, the other from disjoint sets on the free side (or,
+    with a one-sized anchor, from the cross-intersecting tail, which then
+    needs f >= 2).
+    """
+    constraint, _ = _conjecture(conjecture)
+    k, l = p
+    x1, x2 = range(u.n1), range(u.n1, u.size)
     best: Family | None = None
-    for kind in feasible_kinds(conjecture, u, p):
-        fam = build_construction(canonical_spec(kind, u, p))
-        if best is None or len(fam) > len(best):
-            best = fam
+    for anchor, a, free, f in ((x1, k, x2, l), (x2, l, x1, k)):
+        if a >= 2 or (constraint is Constraint.TWO_SIDED and f >= 2):
+            fam = _construction(constraint, u, anchor, a, free, f)
+            if best is None or len(fam) > len(best):
+                best = fam
     return best
 
 
@@ -520,7 +422,7 @@ def evaluate_cell(conjecture: int, cell: GridCell, node_limit: int | None = None
     u = Universe(cell.n1, cell.n2)
     p = Profile(cell.k, cell.l)
     # an unknown conjecture or a bad budget is the caller's error, not the cell's: both raise
-    constraint, ceiling, _ = _conjecture(conjecture)
+    constraint, ceiling = _conjecture(conjecture)
     budget = SearchBudget(node_limit, time_limit_s)
     try:
         bound = ceiling(u, p)

@@ -73,13 +73,6 @@ class Universe:
     def two_part(self) -> bool:
         return self.n1 > 0 and self.n2 > 0
 
-    def elements(self, side: str) -> range:
-        if side == X1:
-            return range(self.n1)
-        if side == X2:
-            return range(self.n1, self.size)
-        raise ValueError(f"unknown side {side!r}")
-
 
 class Profile(NamedTuple):
     """Prescribed member sizes (k in X1, l in X2)."""

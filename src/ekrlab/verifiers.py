@@ -269,16 +269,10 @@ def _family_check(params, mode, rng, trials, shapes, test, min_size: int = 2):
 def _check_distance_graph_cliques(params, mode, rng, trials):
     n, k = _param(params, "n", "k")
     _require(2 <= 2 * k < n, "2 <= 2k < n")
-    near = [0] * n  # adjacency rows of the <=(k-1)-distance graph
-    for u, v in combinations(range(n), 2):
-        if point_distance(u, v, n) <= k - 1:
-            near[u] |= 1 << v
-            near[v] |= 1 << u
     bad = []
 
-    def is_clique(vs):
-        mask = mask_of(vs)
-        return all(mask & ~near[v] == 1 << v for v in vs)
+    def is_clique(vs):  # vs ascending
+        return all(point_distance(u, v, n) <= k - 1 for u, v in combinations(vs, 2))
 
     def judge(vs):
         """Record the clique ``vs`` (ascending) if it is larger than k or not consecutive."""
@@ -292,9 +286,14 @@ def _check_distance_graph_cliques(params, mode, rng, trials):
         if subsets > EXHAUSTIVE_CAP:
             raise InfeasibleExhaustive("too many subsets; use sampled mode")
         for s in range(n):
-            run = [(s + i) % n for i in range(k)]
+            run = sorted((s + i) % n for i in range(k))
             if not is_clique(run):
-                bad.append({"kind": "consecutive run not a clique", "vertices": sorted(run)})
+                bad.append({"kind": "consecutive run not a clique", "vertices": run})
+        near = [0] * n  # adjacency rows of the <=(k-1)-distance graph
+        for u, v in combinations(range(n), 2):
+            if point_distance(u, v, n) <= k - 1:
+                near[u] |= 1 << v
+                near[v] |= 1 << u
         # every (k+1)- and k-subset is an instance; only the cliques among them can fail
         for vs in _cliques(near, k, k + 1):
             judge(vs)
@@ -316,9 +315,6 @@ def _check_interval_dispersion(params, mode, rng, trials):
     _require(2 * (k + b) <= n, "2(k+b) <= n")
     intervals = all_intervals(n, k)
     need = k + b + 1
-    # near[p]: the intervals within distance b of interval p, p itself included
-    near = [mask_of(q for q, other in enumerate(intervals) if interval_distance(iv, other) <= b)
-            for iv in intervals]
 
     def record(sub):
         return {"intervals": sorted((intervals[p].start, intervals[p].length) for p in sub)}
@@ -327,11 +323,15 @@ def _check_interval_dispersion(params, mode, rng, trials):
         subsets = comb(len(intervals), need)
         if subsets > EXHAUSTIVE_CAP:
             raise InfeasibleExhaustive("too many interval subsets; use sampled mode")
+        # near[p]: the intervals within distance b of interval p, p itself included
+        near = [mask_of(q for q, other in enumerate(intervals) if interval_distance(iv, other) <= b)
+                for iv in intervals]
         # every need-subset is an instance; it fails exactly when it is a near-clique
         return subsets, [record(sub) for sub in _cliques(near, need, need)], 0
 
     def test(sub):  # passes when some two of the intervals lie far apart
-        return True if any(mask_of(sub) & ~near[p] for p in sub) else record(sub)
+        far = any(interval_distance(intervals[p], intervals[q]) > b for p, q in combinations(sub, 2))
+        return True if far else record(sub)
 
     # sampling positions draws the same random numbers as sampling the intervals
     return _drive(mode, rng, trials, (), lambda rng: rng.sample(range(len(intervals)), need), test)
@@ -358,13 +358,17 @@ def _check_third_rectangle_overlap(params, mode, rng, trials):
     def arcs(intervals):  # each interval with the bitset of its elements
         return [(iv, _arc_mask(iv)) for iv in intervals]
 
-    i_arcs = arcs(all_intervals(n1, k))
+    i_ivs = all_intervals(n1, k)
     j_arcs = arcs(all_intervals(n2, l))
-    far_pairs = [(a1, a2) for a1, a2 in combinations(i_arcs, 2)
-                 if interval_distance(a1[0], a2[0]) >= b + 1]
-    _require(bool(far_pairs), "some I-interval pair at distance >= b+1 must exist")
+    # the I-intervals are the rotations of one, so each has as many far partners as the first
+    far_count = len(i_ivs) * sum(interval_distance(i_ivs[0], iv) >= b + 1 for iv in i_ivs[1:]) // 2
+    _require(far_count > 0, "some I-interval pair at distance >= b+1 must exist")
     u_arcs = arcs(iv for s in range(1, b + 1) for iv in all_intervals(n1, s))
     v_arcs = arcs(iv for s in range(1, b + 1) for iv in all_intervals(n2, s))
+    if mode == EXHAUSTIVE and len(j_arcs) * far_count * len(u_arcs) * len(v_arcs) > EXHAUSTIVE_CAP:
+        raise InfeasibleExhaustive("too many triples; use sampled mode")
+    far_pairs = [(a1, a2) for a1, a2 in combinations(arcs(i_ivs), 2)
+                 if interval_distance(a1[0], a2[0]) >= b + 1]
 
     def record(j0, i1, i2, uu, vv):
         return {"base": (j0.start, j0.length),
@@ -372,8 +376,6 @@ def _check_third_rectangle_overlap(params, mode, rng, trials):
                 "third": (uu.start, uu.length, vv.start, vv.length)}
 
     if mode == EXHAUSTIVE:  # an instance: a blocking pair sharing the base j0, a third u x v
-        if len(j_arcs) * len(far_pairs) * len(u_arcs) * len(v_arcs) > EXHAUSTIVE_CAP:
-            raise InfeasibleExhaustive("too many triples; use sampled mode")
         # a third whose v meets the base passes; one whose v misses it meets
         # the hypothesis only when u meets both I-projections, and then fails
         both_u = [[uu for uu, mu in u_arcs if m1 & mu and m2 & mu] for (_, m1), (_, m2) in far_pairs]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ekrlab import cli
+from ekrlab import cli, search
 from ekrlab.cli import main, parse_profiles
 from ekrlab.families import Profile
 
@@ -312,6 +312,16 @@ class TestEnumerateCommand:
         data = json.loads(out)
         assert data["count"] == 4
         assert data["sets"] == [[0, 2], [0, 3], [1, 2], [1, 3]]
+
+    def test_vertex_cap_before_enumeration(self, capsys, monkeypatch):
+        # C(40,20) = 137846528820 sets: refused from their count, not after listing them
+        def unbounded(*args):
+            raise AssertionError("candidate sets enumerated past the cap")
+
+        monkeypatch.setattr(search, "candidate_sets", unbounded)
+        code, out, err = run_cli(capsys, "enumerate", "--n1", "40", "--profiles", "20")
+        assert code == 2 and out == ""
+        assert "137846528820 candidate sets exceed the vertex cap" in err
 
 
 class TestHuntCommand:

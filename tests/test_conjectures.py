@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ekrlab import conjectures
-from ekrlab.bounds import binomial, cross_bound, hm_bound, nontrivial_bound, two_sided_bound
+from ekrlab.bounds import (_nontrivial_term, _two_sided_term, binomial, cross_bound, hm_bound,
+                           nontrivial_bound, two_sided_bound)
 from ekrlab.conjectures import (
     BUDGET_EXHAUSTED,
     CELL_ERROR,
@@ -15,19 +16,13 @@ from ekrlab.conjectures import (
     COUNTEREXAMPLE,
     VACUOUS,
     CellResult,
-    ConstructionKind,
-    ConstructionSpec,
     GridCell,
     ParameterGrid,
     _koenig_independent_set,
     _max_matching,
     best_construction,
-    build_construction,
-    canonical_spec,
     cross_oracle,
     evaluate_cell,
-    expected_construction_size,
-    feasible_kinds,
     hunt,
     max_cross_intersecting,
 )
@@ -41,68 +36,7 @@ from ekrlab.families import (
     iter_bits,
     profile_of,
 )
-from ekrlab.search import SearchBudget
-
-
-class TestConstructions:
-    def test_hm_one_part(self):
-        u = Universe(5, 0)
-        fam = build_construction(canonical_spec(ConstructionKind.HM_ONE_PART, u, (2, 0)))
-        assert len(fam) == hm_bound(5, 2) == 3
-        assert is_intersecting(fam) and not is_trivially_intersecting(fam)
-
-    def test_nontrivial_x1_example(self):
-        u = Universe(4, 4)
-        fam = build_construction(canonical_spec(ConstructionKind.NONTRIVIAL_X1, u, (2, 2)))
-        assert len(fam) == 18
-        assert len(fam) == expected_construction_size(ConstructionKind.NONTRIVIAL_X1, u, (2, 2))
-
-    def test_every_kind_matches_closed_form_and_predicate(self):
-        for cell in ParameterGrid.default().cells:
-            u = Universe(cell.n1, cell.n2)
-            p = (cell.k, cell.l)
-            for conj in (1, 2):
-                for kind in feasible_kinds(conj, u, p):
-                    fam = build_construction(canonical_spec(kind, u, p))
-                    assert len(fam) == expected_construction_size(kind, u, p), (kind, cell)
-                    assert all(profile_of(u, m) == Profile(*p) for m in fam.sets)
-
-    def test_construction_size_is_a_bound_term(self):
-        for cell in ParameterGrid.default().cells:
-            u, p = Universe(cell.n1, cell.n2), (cell.k, cell.l)
-            assert max(
-                expected_construction_size(ConstructionKind.NONTRIVIAL_X1, u, p),
-                expected_construction_size(ConstructionKind.NONTRIVIAL_X2, u, p),
-            ) == nontrivial_bound(u, p), cell
-            assert max(
-                expected_construction_size(ConstructionKind.TWO_SIDED_X1, u, p),
-                expected_construction_size(ConstructionKind.TWO_SIDED_X2, u, p),
-            ) == two_sided_bound(u, p), cell
-
-    def test_infeasible_kinds_raise(self):
-        u = Universe(4, 4)
-        with pytest.raises(ValueError, match="trivially"):
-            build_construction(canonical_spec(ConstructionKind.NONTRIVIAL_X1, u, (1, 2)))
-        with pytest.raises(ValueError, match="two-sided"):
-            build_construction(canonical_spec(ConstructionKind.TWO_SIDED_X2, u, (1, 1)))
-        assert feasible_kinds(2, u, (1, 1)) == []
-        assert best_construction(2, u, (1, 1)) is None
-
-    def test_two_sided_anchors_work_with_one_sized_free_part(self):
-        u = Universe(4, 4)
-        for kind in (ConstructionKind.TWO_SIDED_X1, ConstructionKind.TWO_SIDED_X2):
-            for p in ((1, 2), (2, 1)):
-                fam = build_construction(canonical_spec(kind, u, p))
-                assert is_two_sided_intersecting(fam)
-                assert len(fam) == expected_construction_size(kind, u, p)
-
-    def test_spec_invariants(self):
-        u = Universe(4, 4)
-        with pytest.raises(ValueError, match="avoid K"):
-            ConstructionSpec(ConstructionKind.NONTRIVIAL_X1, u, Profile(2, 2), 0, (0, 1))
-        with pytest.raises(ValueError, match="disjoint"):
-            ConstructionSpec(ConstructionKind.TWO_SIDED_X2, u, Profile(2, 2), 4,
-                             (0, 1), (4, 5), (4, 6))
+from ekrlab.search import Constraint, SearchBudget
 
 
 def _construction_cells():
@@ -123,57 +57,71 @@ def _outcome(fn, *args):
         return type(exc).__name__
 
 
+class TestConstructions:
+    def test_hm_one_part(self):
+        fam = best_construction(1, Universe(5, 0), (2, 0))
+        assert len(fam) == hm_bound(5, 2) == 3
+        assert is_intersecting(fam) and not is_trivially_intersecting(fam)
+
+    def test_nontrivial_x1_example(self):
+        fam = best_construction(1, Universe(4, 4), (2, 2))
+        assert len(fam) == 18
+        assert fam.sets[0] == 0b00110011  # a tie keeps anchor X1: x = 0, K = {1}
+
+    def test_construction_size_is_a_bound_term(self):
+        # the largest bound term over the feasible orientations, not the
+        # ceiling: at k = 1 or l = 1 the ceiling can come from an infeasible
+        # term, so conjecture 1 at (2,5,1,2) has ceiling 10 and construction 6
+        assert nontrivial_bound(Universe(2, 5), (1, 2)) == 10
+        assert len(best_construction(1, Universe(2, 5), (1, 2))) == 6
+        for n1, n2, k, l in _construction_cells():
+            u, p = Universe(n1, n2), (k, l)
+            for conj, term in ((1, _nontrivial_term), (2, _two_sided_term)):
+                sides = [(n1, k, n2, l), (n2, l, n1, k)]  # (anchor n, a, free n, f)
+                feasible = [s for s in sides if s[1] >= 2 or (conj == 2 and s[3] >= 2)]
+                # a one-part cell has no two-sided term, and no two-sided construction
+                want = _outcome(lambda: max((term(*s) for s in feasible), default=None))
+                best = _outcome(best_construction, conj, u, p)
+                if best is None or isinstance(best, str):
+                    assert best == want, (conj, n1, n2, k, l)
+                    continue
+                assert len(best) == want, (conj, n1, n2, k, l)
+                assert all(profile_of(u, m) == Profile(k, l) for m in best.sets)
+
+    def test_infeasible_kinds_raise(self):
+        u = Universe(4, 4)
+        x1, x2 = range(4), range(4, 8)
+        with pytest.raises(ValueError, match="trivially"):  # a one-sized punctured star
+            conjectures._construction(Constraint.NONTRIVIAL, u, x1, 1, x2, 2)
+        with pytest.raises(ValueError, match="two-sided"):  # one-sized on both sides
+            conjectures._construction(Constraint.TWO_SIDED, u, x2, 1, x1, 1)
+        assert best_construction(2, u, (1, 1)) is None
+
+    def test_two_sided_anchors_work_with_one_sized_free_part(self):
+        # both orientations are built and self-checked: one has a one-sized
+        # anchor, the other a one-sized free part
+        u = Universe(4, 4)
+        for p in ((1, 2), (2, 1)):
+            fam = best_construction(2, u, p)
+            assert is_two_sided_intersecting(fam)
+            assert len(fam) == max(_two_sided_term(4, 1, 4, 2), _two_sided_term(4, 2, 4, 1)) == 10
+
+
 class TestConstructionPin:
-    # sha256 over every cell's canonical spec fields, closed-form size and
-    # built family (or error type) per kind, and feasible kinds and best
-    # construction per conjecture; recorded with one `if` chain per kind
-    DIGEST = "51bf0712fd115037a09f72339473e8c00523dce238db5beb2a819256fb2afe80"
+    # sha256 over best_construction's family sets, or the name of the
+    # exception type it raised, per cell and conjecture; recorded on the
+    # kind-table implementation this builder replaced
+    DIGEST = "1fd8c4975a13c3639638afd50b3a6be7f43d8879057cbc0cea4eff5c9e778a3d"
 
     def test_constructions_match_pinned_digest(self):
         h = hashlib.sha256()
         for n1, n2, k, l in _construction_cells():
             u, p = Universe(n1, n2), (k, l)
-            rec = {"cell": [n1, n2, k, l]}
-            for kind in ConstructionKind:
-                spec = _outcome(canonical_spec, kind, u, p)
-                entry = {"size": _outcome(expected_construction_size, kind, u, p)}
-                if isinstance(spec, str):
-                    entry["spec"] = spec
-                else:
-                    entry["spec"] = [spec.x, spec.k_set, spec.l_set, spec.l_prime]
-                    fam = _outcome(build_construction, spec)
-                    entry["family"] = fam if isinstance(fam, str) else fam.sets
-                rec[kind.value] = entry
             for conj in (1, 2):
                 best = _outcome(best_construction, conj, u, p)
-                rec[f"conjecture {conj}"] = [
-                    [kind.value for kind in feasible_kinds(conj, u, p)],
-                    best if best is None or isinstance(best, str) else best.sets,
-                ]
-            h.update(json.dumps(rec).encode())
+                sets = best if best is None or isinstance(best, str) else best.sets
+                h.update(json.dumps([[n1, n2, k, l], conj, sets]).encode())
         assert h.hexdigest() == self.DIGEST
-
-    @pytest.mark.parametrize("kind,u,p", [
-        (ConstructionKind.NONTRIVIAL_X2, Universe(4, 0), (2, 0)),
-        (ConstructionKind.TWO_SIDED_X2, Universe(4, 0), (2, 0)),
-        (ConstructionKind.HM_ONE_PART, Universe(4, 4), (2, 2)),
-    ])
-    def test_kind_outside_its_universe_raises_value_error(self, kind, u, p):
-        # the universe lacks the kind's anchor part or has a part the kind
-        # leaves empty: a ValueError, never an IndexError from an empty part
-        with pytest.raises(ValueError):
-            build_construction(canonical_spec(kind, u, p))
-
-    @pytest.mark.parametrize("kind,u,p", [
-        (ConstructionKind.NONTRIVIAL_X2, Universe(4, 0), (2, 0)),
-        (ConstructionKind.TWO_SIDED_X1, Universe(4, 0), (2, 0)),
-        (ConstructionKind.TWO_SIDED_X2, Universe(4, 0), (2, 0)),
-        (ConstructionKind.HM_ONE_PART, Universe(4, 4), (2, 2)),
-    ])
-    def test_no_size_for_a_kind_outside_its_universe(self, kind, u, p):
-        # these once gave 3, 3, 6 and 3: sizes of constructions that cannot exist
-        with pytest.raises(ValueError):
-            expected_construction_size(kind, u, p)
 
 
 class TestCrossIntersecting:

@@ -172,6 +172,39 @@ class TestVerifierPlumbing:
         with pytest.raises(InfeasibleExhaustive, match="sampled"):
             verify_check("2", {"n": 40, "k": 8, "b": 8})
 
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        calls = []
+        real = getattr(verifiers, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verifiers, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("check,params,dist", [
+        ("1", {"n": 1500, "k": 3}, "point_distance"),
+        ("2", {"n": 1500, "k": 1, "b": 1}, "interval_distance"),
+        ("4", {"n1": 1500, "n2": 10, "k": 1, "l": 1, "b": 1}, "interval_distance"),
+    ])
+    def test_exhaustive_cap_before_any_quadratic_relation(self, monkeypatch, check, params, dist):
+        # an n x n relation at n = 1500 is over a million distance calls
+        calls = self._count_calls(monkeypatch, dist)
+        with pytest.raises(InfeasibleExhaustive, match="sampled"):
+            verify_check(check, params)
+        assert len(calls) < 1500
+
+    @pytest.mark.parametrize("check,params,dist,pairs", [
+        ("1", {"n": 1500, "k": 3}, "point_distance", 6 + 3),  # a 4-subset and a 3-subset
+        ("2", {"n": 1500, "k": 1, "b": 1}, "interval_distance", 3),  # one 3-subset
+    ])
+    def test_sampled_draw_is_judged_pairwise(self, monkeypatch, check, params, dist, pairs):
+        calls = self._count_calls(monkeypatch, dist)
+        report = verify_check(check, params, mode=SAMPLED, seed=1, trials=1)
+        assert report.passed and 1 <= len(calls) <= pairs
+
     def test_report_json(self):
         report = verify_check("1", {"n": 7, "k": 3})
         data = report.to_json()
