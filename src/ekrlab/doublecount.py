@@ -13,10 +13,11 @@ rectangle under (c1, c2) exactly when its X1 part is consecutive under c1
 and its X2 part under c2.  The by-pair side therefore looks up each
 permutation's consecutive-run masks (a table built once per n) among the
 members' part masks, keeps one member bitset per permutation and per
-weight class, and counts a pair's members with ANDs.  ``weighted_sums``
-gives both sides of the 9b^2 regime's weighted-sum inequality from the
-rectangle class sizes, the bound check c3 tests.  Everything here is
-exact rational arithmetic; no tolerances anywhere.
+weight class, and counts a pair's members with ANDs, a row of pairs at a
+time (per c1 and weight class, one pass over the c2 bitsets).
+``weighted_sums`` gives both sides of the 9b^2 regime's weighted-sum
+inequality from the rectangle class sizes, the bound check c3 tests.
+Everything here is exact rational arithmetic; no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -157,11 +158,13 @@ def double_count_check(f: Family) -> DoubleCountResult:
         classes[w] = classes.get(w, 0) | 1 << i
     runs1 = _run_bitsets(u.n1, [m & u.x1_mask for m in f.sets])
     runs2 = _run_bitsets(u.n2, [m >> u.n1 for m in f.sets])
-    pair_nums = [
-        sum(w * (r1 & r2 & cls).bit_count() for w, cls in classes.items())
-        for r1 in runs1
-        for r2 in runs2
-    ]
+    pair_nums = []
+    for r1 in runs1:  # one row of pairs (r1 with every r2) per weight class
+        row = [0] * len(runs2)
+        for w, cls in classes.items():
+            if members := r1 & cls:
+                row = [t + w * (members & r2).bit_count() for t, r2 in zip(row, runs2)]
+        pair_nums += row
     # a family has only a handful of distinct pair numerators: one Fraction each
     term = {t: Fraction(t, denom) for t in set(pair_nums)}
     per_pair = tuple(term[t] for t in pair_nums)

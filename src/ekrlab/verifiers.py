@@ -11,15 +11,18 @@ Rectangles proj-intersect exactly when their I-points in X1 plus J-points in
 X2 meet, so the proj-intersecting families are the cliques of the
 ``search.meet_rows`` rows: listed by ``_cliques`` (exhaustive), or grown by
 uniform picks among the candidates compatible with every member so far
-(sampled), the law of keeping each compatible vertex of a random order.  A
-family is judged on its member bitset: its blocking pairs are the pairs of
-the space's ``blocking_rows`` inside it, and checks 9 and c3 read its class
+(sampled), the law of keeping each compatible vertex of a random order;
+once the candidates are a clique that fits the target, the forced rest is
+taken at once and only its picks' getrandbits calls are replayed.  A family
+is judged on its member bitset: its blocking pairs are the pairs of the
+space's ``blocking_rows`` inside it, and checks 9 and c3 read its class
 sizes alone (c3's hypotheses hold by construction).
 
 Exhaustive checks 1, 2 and 4 count their instances and list only those that
 can fail: the k- and (k+1)-cliques of check 1's distance graph, the
 (k+b+1)-cliques of check 2's near graph (distance <= b), and check 4's thirds
-whose v misses the base and whose u meets both I-projections.
+whose v misses the base and whose u meets both I-projections.  Sampled
+check 4 draws its far I-pair by index, without listing the pairs.
 
 Check ids (the CLI exposes the same numbering):
 
@@ -51,9 +54,10 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, inf
 
 from .cyclic import (
@@ -179,17 +183,36 @@ def _cliques(rows: list[int], min_size: int, max_size: int | None = None):
         yield clique
 
 
-def _sample_family(rng: random.Random, rows: list[int], size_range: tuple[int, int]) -> int:
+def _sample_family(rng: random.Random, rows: list[int], closed: list[int],
+                   size_range: tuple[int, int]) -> int:
     """The bitset of a random proj-intersecting family grown toward a random target size.
 
-    A pick makes ``rng.randrange(n)``'s getrandbits calls for the n candidates
-    left and takes the r-th lowest: r itself while they are the whole space,
-    then the length of what ``bin(cand)`` keeps after its top n - r set bits.
+    The target is ``rng.randint(*size_range)``'s draw.  A pick makes
+    ``rng.randrange(n)``'s getrandbits calls for the n candidates left and
+    takes the r-th lowest: r itself while they are the whole space, then the
+    length of what ``bin(cand)`` keeps after its top n - r set bits.  Once
+    the candidates are a clique (``closed[u]`` is ``rows[u]`` plus u) that
+    fits the target, the rest is forced: all of them, after replaying the
+    getrandbits calls of their picks.
     """
-    target, n = rng.randint(*size_range), len(rows)
+    lo, hi = size_range
     getrandbits = rng.getrandbits
+    target = getrandbits(k := (hi - lo + 1).bit_length())
+    while target > hi - lo:
+        target = getrandbits(k)
+    target += lo
+    n = len(rows)
     mask, cand, size = 0, (1 << n) - 1, 0
     while cand and size < target:
+        if size + n <= target:
+            rest = cand
+            while rest and not cand & ~closed[(rest & -rest).bit_length() - 1]:
+                rest &= rest - 1
+            if not rest:  # a clique: the remaining picks draw randrange(n), ..., randrange(1)
+                for m in range(n, 0, -1):
+                    while getrandbits(m.bit_length()) >= m:
+                        pass
+                return mask | cand
         r = getrandbits(k := n.bit_length())
         while r >= n:
             r = getrandbits(k)
@@ -225,13 +248,25 @@ class _BlockingRows:
 
     def kinds(self, mask: int) -> set[str]:
         """The blocking-pair kinds with both ends inside ``mask``."""
-        return {kind for kind, row in self.rows.items()
-                if any(row[v] & mask for v in iter_bits(mask))}
+        found = set()
+        for kind, row in self.rows.items():
+            rest = mask
+            while rest and not row[(rest & -rest).bit_length() - 1] & mask:
+                rest &= rest - 1
+            if rest:
+                found.add(kind)
+        return found
 
     def j_bases(self, mask: int) -> int:
         """How many distinct shared-J bases the blocking pairs inside ``mask`` have."""
         row, j_arcs = self.rows[J_BASE], self.j_arcs
-        return len({j_arcs[v] for v in iter_bits(mask) if row[v] & mask})
+        bases, rest = set(), mask
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            if row[v] & mask:
+                bases.add(j_arcs[v])
+            rest &= rest - 1
+        return len(bases)
 
     def class_sizes(self, mask: int) -> dict[tuple[int, int], int]:
         """Shape -> member count for every shape class present in ``mask``."""
@@ -252,6 +287,7 @@ def _family_check(params, mode, rng, trials, shapes, test, min_size: int = 2):
     if len(rects) < min_size:
         return 0, [], 0
     rows = _proj_rows(n1, n2, rects)
+    closed = [row | 1 << v for v, row in enumerate(rows)]
     blocking = _BlockingRows(rects, b)
 
     def judge(mask):
@@ -261,7 +297,7 @@ def _family_check(params, mode, rng, trials, shapes, test, min_size: int = 2):
         return {"family": _rect_json(rects[v] for v in iter_bits(mask))} if holds is False else holds
 
     return _drive(mode, rng, trials, map(mask_of, _cliques(rows, min_size)),
-                  lambda rng: _sample_family(rng, rows, (min_size, len(rects))), judge)
+                  lambda rng: _sample_family(rng, rows, closed, (min_size, len(rects))), judge)
 
 
 # ---------------------------------------------------------------- check 1
@@ -358,17 +394,23 @@ def _check_third_rectangle_overlap(params, mode, rng, trials):
     def arcs(intervals):  # each interval with the bitset of its elements
         return [(iv, _arc_mask(iv)) for iv in intervals]
 
-    i_ivs = all_intervals(n1, k)
-    j_arcs = arcs(all_intervals(n2, l))
-    # the I-intervals are the rotations of one, so each has as many far partners as the first
-    far_count = len(i_ivs) * sum(interval_distance(i_ivs[0], iv) >= b + 1 for iv in i_ivs[1:]) // 2
+    i_arcs, j_arcs = arcs(all_intervals(n1, k)), arcs(all_intervals(n2, l))
+    # the I-intervals are the rotations of the first, so (s, s + d) is a far pair exactly
+    # when (0, d) is: the far offsets d of the first interval index every far pair
+    n_i = len(i_arcs)
+    offsets = [d for d in range(1, n_i) if interval_distance(i_arcs[0][0], i_arcs[d][0]) >= b + 1]
+    firsts = list(accumulate((bisect_left(offsets, n_i - s) for s in range(n_i)), initial=0))
+    far_count = firsts[-1]
     _require(far_count > 0, "some I-interval pair at distance >= b+1 must exist")
+
+    def far_pair(p):  # the p-th far pair (s, s + d) in combinations order: by s, then d
+        s = bisect_right(firsts, p) - 1
+        return i_arcs[s], i_arcs[s + offsets[p - firsts[s]]]
+
     u_arcs = arcs(iv for s in range(1, b + 1) for iv in all_intervals(n1, s))
     v_arcs = arcs(iv for s in range(1, b + 1) for iv in all_intervals(n2, s))
     if mode == EXHAUSTIVE and len(j_arcs) * far_count * len(u_arcs) * len(v_arcs) > EXHAUSTIVE_CAP:
         raise InfeasibleExhaustive("too many triples; use sampled mode")
-    far_pairs = [(a1, a2) for a1, a2 in combinations(arcs(i_ivs), 2)
-                 if interval_distance(a1[0], a2[0]) >= b + 1]
 
     def record(j0, i1, i2, uu, vv):
         return {"base": (j0.start, j0.length),
@@ -378,6 +420,7 @@ def _check_third_rectangle_overlap(params, mode, rng, trials):
     if mode == EXHAUSTIVE:  # an instance: a blocking pair sharing the base j0, a third u x v
         # a third whose v meets the base passes; one whose v misses it meets
         # the hypothesis only when u meets both I-projections, and then fails
+        far_pairs = list(map(far_pair, range(far_count)))
         both_u = [[uu for uu, mu in u_arcs if m1 & mu and m2 & mu] for (_, m1), (_, m2) in far_pairs]
         missing = [(j0, [vv for vv, mv in v_arcs if not mj & mv]) for j0, mj in j_arcs]
         instances = sum((len(v_arcs) - len(vs)) * len(u_arcs) * len(far_pairs)
@@ -388,7 +431,7 @@ def _check_third_rectangle_overlap(params, mode, rng, trials):
 
     def draw(rng):
         j0 = rng.choice(j_arcs)
-        a1, a2 = rng.choice(far_pairs)
+        a1, a2 = far_pair(rng.randrange(far_count))  # rng.choice's draw on a list of them
         return (j0, a1, a2), (rng.choice(u_arcs), rng.choice(v_arcs))
 
     def test(instance):

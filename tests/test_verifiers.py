@@ -205,6 +205,14 @@ class TestVerifierPlumbing:
         report = verify_check(check, params, mode=SAMPLED, seed=1, trials=1)
         assert report.passed and 1 <= len(calls) <= pairs
 
+    def test_sampled_overlap_indexes_far_pairs(self, monkeypatch):
+        # one trial at n1 = 1500 once listed all 1.1 million I-pairs to draw one
+        calls = self._count_calls(monkeypatch, "interval_distance")
+        report = verify_check("4", {"n1": 1500, "n2": 10, "k": 1, "l": 1, "b": 1},
+                              mode=SAMPLED, seed=1, trials=1)
+        assert (report.passed, report.instances, report.hypothesis_rejections) == (True, 1, 27)
+        assert len(calls) < 1500 and report.elapsed_s < 1.0
+
     def test_report_json(self):
         report = verify_check("1", {"n": 7, "k": 3})
         data = report.to_json()
@@ -556,6 +564,57 @@ def test_exhaustive_overlap_matches_triple_loop(monkeypatch, dist, failing):
     assert (found > 0) == failing
 
 
+def _overlap_by_listed_draws(n1, n2, k, l, b, dist, seed, trials):
+    """Reference: sampled check 4 drawing ``rng.choice`` from the listed far I-pairs.
+
+    None when no I-interval pair is at distance >= b+1.
+    """
+    far_pairs = [(i1, i2) for i1, i2 in combinations(all_intervals(n1, k), 2)
+                 if dist(i1, i2) >= b + 1]
+    if not far_pairs:
+        return None
+    bases = all_intervals(n2, l)
+    us = [iv for s in range(1, b + 1) for iv in all_intervals(n1, s)]
+    vs = [iv for s in range(1, b + 1) for iv in all_intervals(n2, s)]
+    rng, instances, bad, rejections = random.Random(seed), 0, [], 0
+    for _ in range(trials * verifiers.SAMPLE_FACTOR):
+        j0, (i1, i2) = rng.choice(bases), rng.choice(far_pairs)
+        u, v = rng.choice(us), rng.choice(vs)
+        if not v.overlaps(j0):
+            if not (u.overlaps(i1) and u.overlaps(i2)):
+                rejections += 1
+                continue
+            bad.append({"base": (j0.start, j0.length),
+                        "pair": sorted([i.start, i.length, j0.start, j0.length] for i in (i1, i2)),
+                        "third": (u.start, u.length, v.start, v.length)})
+        instances += 1
+        if instances == trials:
+            break
+    return instances, sorted(bad, key=repr), rejections
+
+
+@pytest.mark.parametrize("dist,failing", [(interval_distance, False),
+                                          (_shifted_interval_distance, True)])
+def test_sampled_overlap_draws_the_listed_pair(monkeypatch, dist, failing):
+    # the far pair drawn by index is the one rng.choice takes from the listed
+    # pairs; a weaker distance makes failing draws record the pairs they took
+    monkeypatch.setattr(verifiers, "interval_distance", dist)
+    found = 0
+    for b in (1, 2, 3):
+        for k, n1 in product(range(1, b + 1), range(4, 40)):
+            params = {"n1": n1, "n2": 7, "k": k, "l": 1, "b": b}
+            want = _overlap_by_listed_draws(n1, 7, k, 1, b, dist, seed=n1, trials=8)
+            if want is None:
+                with pytest.raises(ValueError):
+                    verify_check("4", params, mode=SAMPLED, seed=n1, trials=8)
+                continue
+            report = verify_check("4", params, mode=SAMPLED, seed=n1, trials=8)
+            got = (report.instances, report.counterexamples, report.hypothesis_rejections)
+            assert got == want, params
+            found += len(want[1])
+    assert (found > 0) == failing
+
+
 def _random_graph(rng, m, density):
     rows = [0] * m
     for u, v in combinations(range(m), 2):
@@ -611,6 +670,28 @@ def _sample_family_by_randrange(rng, rows, size_range):
     return mask
 
 
+# the spaces the certify benchmark samples: (n1, n2, shapes, minimum family size)
+_SAMPLED_SPACES = [(9, 9, [(2, 2)], 2), (9, 9, [(1, 1), (2, 1)], 2),
+                   (10, 10, [(1, 1)], 1), (10, 10, [(1, 1)], 9)]
+
+
+def _closed(rows):
+    """Each vertex's row with the vertex itself, as the family checks pass them."""
+    return [row | 1 << v for v, row in enumerate(rows)]
+
+
+def _disjoint_cliques(rng, m):
+    """Rows of a graph on m vertices, shuffled into disjoint cliques of random sizes."""
+    order, rows = rng.sample(range(m), m), [0] * m
+    while order:
+        size = rng.randint(1, len(order))
+        clique, order = order[:size], order[size:]
+        mask = sum(1 << v for v in clique)
+        for v in clique:
+            rows[v] = mask & ~(1 << v)
+    return rows
+
+
 class TestSampleFamily:
     @pytest.mark.parametrize("density", [0.05, 0.3, 0.7, 1.0])
     def test_pick_law_is_walk_law(self, density):
@@ -627,25 +708,55 @@ class TestSampleFamily:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
     def test_picks_replay_randrange(self, seed):
-        # each pick makes rng.randrange's getrandbits calls: same family, same stream
+        # each pick makes rng.randrange's getrandbits calls, and a forced rest
+        # replays the calls of the picks it skips: same family, same stream
         graphs = random.Random(seed)
         rng, ref = random.Random(seed), random.Random(seed)
+        cases = []  # (label, rows, size_range, draws)
         for m in range(0, 201, 5):
             rows = _random_graph(graphs, m, graphs.random())
-            size_range = (min(m, graphs.randrange(0, 4)), m)
-            for _ in range(3):
-                assert (verifiers._sample_family(rng, rows, size_range)
-                        == _sample_family_by_randrange(ref, rows, size_range)), m
-            assert rng.getstate() == ref.getstate(), m
+            cases.append((m, rows, (min(m, graphs.randrange(0, 4)), m), 3))
+        # the rest is forced once the candidates are a clique that fits the target
+        for n1, n2, shapes, min_size in _SAMPLED_SPACES:
+            rows = verifiers._proj_rows(n1, n2, verifiers._shape_space(n1, n2, shapes))
+            cases.append((shapes, rows, (min_size, len(rows)), 40))
+        for m in range(0, 61, 4):
+            rows = _disjoint_cliques(graphs, m)
+            cases.append((("cliques", m), rows, (min(m, graphs.randrange(0, 4)), m), 10))
+        for label, rows, size_range, draws in cases:
+            for _ in range(draws):
+                assert (verifiers._sample_family(rng, rows, _closed(rows), size_range)
+                        == _sample_family_by_randrange(ref, rows, size_range)), label
+            assert rng.getstate() == ref.getstate(), label
         full = (1 << 200) - 1  # a complete graph keeps every pick
         rows = [full & ~(1 << v) for v in range(200)]
-        assert verifiers._sample_family(rng, rows, (200, 200)) == full
+        assert verifiers._sample_family(rng, rows, _closed(rows), (200, 200)) == full
+
+    def test_forced_rest_reads_no_rows(self):
+        class CountingRows(list):
+            reads = 0
+
+            def __getitem__(self, v):
+                self.reads += 1
+                return super().__getitem__(v)
+
+        full = (1 << 50) - 1
+        complete = CountingRows(full & ~(1 << v) for v in range(50))
+        family = verifiers._sample_family(random.Random(1), complete, _closed(complete), (50, 50))
+        assert family == full
+        assert complete.reads == 0  # the whole space is a clique that fits: no pick at all
+        cliques = CountingRows(_disjoint_cliques(random.Random(2), 50))
+        family = verifiers._sample_family(random.Random(3), cliques, _closed(cliques), (50, 50))
+        assert cliques.reads == 1  # one pick, then the rest of its clique
+        v = family.bit_length() - 1
+        assert family == cliques[v] | 1 << v
 
     def test_frequencies_match_exact_law(self):
         rows = _random_graph(random.Random(3), 5, 0.5)
         law = _walk_law(rows, (1, 5))
         rng, draws = random.Random(11), 20_000
-        seen = Counter(verifiers._sample_family(rng, rows, (1, 5)) for _ in range(draws))
+        closed = _closed(rows)
+        seen = Counter(verifiers._sample_family(rng, rows, closed, (1, 5)) for _ in range(draws))
         assert set(seen) <= set(law)
         for mask, p in law.items():  # within five standard deviations of the expected count
             assert abs(seen[mask] - draws * p) <= 5 * (draws * p * (1 - p)) ** 0.5 + 1, mask
