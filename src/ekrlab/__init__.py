@@ -41,7 +41,6 @@ from .doublecount import (
     DoubleCountResult,
     double_count_check,
     enumerate_rectangle_pair_count,
-    member_weight,
     rectangle_pair_count,
 )
 from .families import (
@@ -51,7 +50,6 @@ from .families import (
     candidate_sets,
     enumerate_profile_sets,
     family_from_json,
-    family_to_json,
     is_intersecting,
     is_trivially_intersecting,
     is_two_sided_intersecting,

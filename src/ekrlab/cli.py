@@ -25,7 +25,7 @@ from .bounds import (
     star_bound_proven,
     two_sided_bound,
 )
-from .conjectures import CELL_ERROR, ParameterGrid, hunt
+from .conjectures import _CONJECTURES, CELL_ERROR, ParameterGrid, hunt
 from .doublecount import double_count_check, require_countable
 from .families import (
     Family,
@@ -65,6 +65,8 @@ def parse_profiles(text: str) -> list[Profile]:
 
 
 def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list] | None = None) -> None:
+    if args.format == "csv" and csv_rows is None:
+        raise ValueError(f"{args.command} has no CSV form; use --format json or text")
     if args.out and os.path.isdir(args.out):
         raise ValueError(f"--out {args.out} is a directory; only hunt writes into one")
     if args.out:  # written before anything is printed, so a bad path leaves stdout empty
@@ -73,7 +75,7 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list] | Non
             fh.write("\n")
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
-    elif args.format == "csv" and csv_rows is not None:
+    elif args.format == "csv":
         for row in csv_rows:
             print(",".join(str(x) for x in row))
     else:
@@ -163,7 +165,7 @@ def _budget_from(args) -> SearchBudget:
 def cmd_search_max(args) -> int:
     u = Universe(args.n1, args.n2)
     profiles = parse_profiles(args.profiles)
-    constraint = Constraint.parse(args.constraint)
+    constraint = Constraint(args.constraint)
     result = max_intersecting(u, profiles, constraint, _budget_from(args),
                               symmetry=args.symmetry)
     payload = result.to_json()
@@ -236,9 +238,12 @@ def cmd_double_count(args) -> int:
 
 
 def cmd_hunt(args) -> int:
-    conjecture = {"1": 1, "2": 2, "nontrivial": 1, "twosided": 2}.get(args.conjecture)
+    names = {str(c): c for c in _CONJECTURES}  # a conjecture's number, then its constraint's value
+    names |= {con.value: c for c, (con, _) in _CONJECTURES.items()}
+    conjecture = names.get(args.conjecture)
     if conjecture is None:
-        raise ValueError("--conjecture must be 1, 2, nontrivial or twosided")
+        *first, last = names
+        raise ValueError(f"--conjecture must be {', '.join(first)} or {last}")
     grid = ParameterGrid.load(args.grid) if args.grid else ParameterGrid.default()
     if args.threads < 1:  # before the report directory is made
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
@@ -327,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hunt", help="sweep a parameter grid against a conjectured bound")
     p.add_argument("--conjecture", required=True,
-                   help="1/nontrivial or 2/twosided")
+                   help=" or ".join(f"{c}/{con.value}" for c, (con, _) in _CONJECTURES.items()))
     p.add_argument("--grid", default=None, help="grid JSON file (default desk-scale grid)")
     p.add_argument("--resume", action="store_true",
                    help="skip cells already in the report; error cells run again")

@@ -33,8 +33,8 @@ from typing import Iterator, NamedTuple
 
 from .bounds import _require_half, nontrivial_bound, two_sided_bound
 from .families import Family, Profile, Universe, iter_bits, mask_of, sort_key
-from .search import (Constraint, SearchBudget, _BudgetExhausted, _satisfies, max_intersecting,
-                     meet_rows)
+from .search import (VERTEX_CAP, Constraint, SearchBudget, _BudgetExhausted, _capped_candidates,
+                     _satisfies, max_intersecting, meet_rows)
 
 
 # conjecture -> (constraint, ceiling)
@@ -47,7 +47,7 @@ _CONJECTURES = {
 def _conjecture(conjecture: int) -> tuple:
     """The conjecture's row of the conjecture table."""
     if conjecture not in _CONJECTURES:
-        raise ValueError("conjecture must be 1 or 2")
+        raise ValueError(f"conjecture must be {' or '.join(map(str, _CONJECTURES))}")
     return _CONJECTURES[conjecture]
 
 
@@ -118,15 +118,6 @@ class CrossResult:
     family_b: Family
     proven_optimal: bool
     nodes: int
-
-    def to_json(self) -> dict:
-        return {
-            "max_total": self.max_total,
-            "family_a": self.family_a.to_lists(),
-            "family_b": self.family_b.to_lists(),
-            "proven_optimal": self.proven_optimal,
-            "nodes": self.nodes,
-        }
 
 
 def _max_matching(adj: list[int], left: int, right: int) -> tuple[int, list[int]]:
@@ -218,16 +209,19 @@ def max_cross_intersecting(n: int, k: int, budget: SearchBudget | None = None) -
     the largest independent set of that subgraph as |left| + |right| minus a
     maximum matching, with a and b isolated and so always included.
 
-    A node is one forced pair (a, b).  The incumbent starts as the singleton
-    seed F = {a}, G = every set meeting a; the pairs run over b in ascending
-    order and only a strictly larger total replaces it, so ties keep the
-    earliest.  The node limit counts pairs, under ``SearchBudget.exceeded``.
+    A node is one forced pair per orbit: the stabiliser S_k x S_{n-k} of a
+    carries (a, b) onto (a, b') when |a & b| = |a & b'|, so only the first b
+    of each intersection size is solved, in ascending order.  The incumbent
+    starts as the singleton seed F = {a}, G = every set meeting a, and only a
+    strictly larger total replaces it, so ties keep the earliest.  The node
+    limit counts pairs, under ``SearchBudget.exceeded``; more than
+    ``VERTEX_CAP`` k-sets are refused from their count.
     """
     _require_half(n, k)
     start = time.perf_counter()
     budget = budget or SearchBudget()
     u = Universe(n, 0)
-    cands = [mask_of(c) for c in combinations(range(n), k)]
+    _, cands = _capped_candidates(u, [(k, 0)], VERTEX_CAP, "vertex")
     meets = meet_rows(u, cands)
     full = (1 << len(cands)) - 1
     disj = [full & ~row for row in meets]
@@ -239,7 +233,8 @@ def max_cross_intersecting(n: int, k: int, budget: SearchBudget | None = None) -
     try:
         if budget.exceeded(0, start):
             raise _BudgetExhausted  # set-up alone used up the time limit
-        for b in iter_bits(right):
+        for j in range(k, 0, -1):  # the first b with |a & b| = j: 0, ..., j-1 and k, ..., 2k-j-1
+            b = cands.index(mask_of(range(j)) | mask_of(range(k, 2 * k - j)))
             nodes += 1
             if budget.exceeded(nodes, start):
                 raise _BudgetExhausted
@@ -261,10 +256,8 @@ CROSS_ORACLE_CAP = 8
 
 def cross_oracle(n: int, k: int) -> int:
     """Max |F| + |G| by enumerating every pair of non-empty subsets directly."""
-    cands = [mask_of(c) for c in combinations(range(n), k)]
+    _, cands = _capped_candidates(Universe(n, 0), [(k, 0)], CROSS_ORACLE_CAP, "oracle")
     m = len(cands)
-    if m > CROSS_ORACLE_CAP:
-        raise ValueError(f"{m} candidate sets exceed the oracle cap of {CROSS_ORACLE_CAP}")
     best = 0
     for fsub in range(1, 1 << m):
         fsets = [cands[i] for i in iter_bits(fsub)]
@@ -435,7 +428,7 @@ def evaluate_cell(conjecture: int, cell: GridCell, node_limit: int | None = None
         elif result.max_size > bound:
             status = COUNTEREXAMPLE
             witness = result.witness.to_lists()
-        elif conjecture == 2 and result.max_size == 0:
+        elif constraint is Constraint.TWO_SIDED and result.max_size == 0:
             status = VACUOUS
         else:
             status = CONFIRMED

@@ -40,11 +40,6 @@ def _weight_numerator(u: Universe, p: tuple[int, int]) -> int:
     return binomial(u.n1, k) * binomial(u.n2, l)
 
 
-def member_weight(u: Universe, p: tuple[int, int]) -> Fraction:
-    """The double-counting weight of any member with profile p, as a reduced rational."""
-    return Fraction(_weight_numerator(u, p), factorial(u.n1) * factorial(u.n2))
-
-
 def _axis_pair_count(n: int, k: int) -> int:
     # interior runs: k!(n-k)!; a full (or empty-axis) part is consecutive everywhere
     if n == 0:
@@ -64,8 +59,7 @@ def rectangle_pair_count(u: Universe, mask: int) -> int:
 
 def enumerate_rectangle_pair_count(u: Universe, mask: int) -> int:
     """The same count by direct enumeration over all canonical permutation pairs."""
-    if u.n1 > ENUMERATION_CAP or u.n2 > ENUMERATION_CAP:
-        raise ValueError(f"enumeration limited to parts of size <= {ENUMERATION_CAP}")
+    require_countable(u)
     count = 0
     for c1 in canonical_permutations(u.n1):
         for c2 in canonical_permutations(u.n2):
@@ -123,7 +117,7 @@ def _run_bitsets(n: int, parts: list[int]) -> list[int]:
 
 
 def require_countable(u: Universe) -> None:
-    """Refuse a universe whose permutation pairs ``double_count_check`` would not enumerate."""
+    """Refuse a universe with too many permutation pairs to enumerate, before any work."""
     if u.n1 > ENUMERATION_CAP or u.n2 > ENUMERATION_CAP:
         raise ValueError(f"double counting limited to parts of size <= {ENUMERATION_CAP}")
 

@@ -241,10 +241,6 @@ def star_family(u: Universe, profiles: Iterable[tuple[int, int]], x: int) -> Fam
     return Family(u, tuple(m for m in candidate_sets(u, profiles) if m & bit))
 
 
-def family_to_json(f: Family) -> dict:
-    return {"n1": f.universe.n1, "n2": f.universe.n2, "sets": f.to_lists()}
-
-
 def family_from_json(data) -> Family:
     """The family of a JSON object; a malformed one raises ValueError."""
     sets = data.get("sets") if isinstance(data, dict) else None

@@ -113,13 +113,6 @@ class Constraint(Enum):
     NONTRIVIAL = "nontrivial"
     TWO_SIDED = "twosided"
 
-    @classmethod
-    def parse(cls, text: str) -> "Constraint":
-        for c in cls:
-            if c.value == text.lower():
-                return c
-        raise ValueError(f"unknown constraint {text!r}")
-
 
 @dataclass(frozen=True)
 class SearchBudget:

@@ -57,7 +57,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, cycle
 from math import comb, inf
 
 from .cyclic import (
@@ -111,6 +111,12 @@ def _require(cond: bool, what: str) -> None:
         raise ValueError(f"hypothesis failed: {what}")
 
 
+def _require_exhaustive(count: int, what: str) -> None:
+    """Refuse an exhaustive run over ``count`` instances past ``EXHAUSTIVE_CAP``."""
+    if count > EXHAUSTIVE_CAP:
+        raise InfeasibleExhaustive(f"too many {what}; use sampled mode")
+
+
 def _param(params: dict, *names: str) -> list:
     """The named parameters in order; a missing one is a usage error."""
     for name in names:
@@ -158,8 +164,8 @@ def _proj_rows(n1: int, n2: int, rects: list[Rectangle]) -> list[int]:
 def _cliques(rows: list[int], min_size: int, max_size: int | None = None):
     """Every clique of min_size to max_size vertices, ``rows[v]`` being v's neighbours.
 
-    Cliques come as ascending index tuples, in lexicographic order; the
-    clique after the first ``EXHAUSTIVE_CAP`` raises ``InfeasibleExhaustive``.
+    Cliques come as ascending index tuples, in lexicographic order.  Callers
+    bound their number first: by a closed form, or by ``_clique_count``.
     """
 
     def rec(chosen: list[int], cand: int):
@@ -176,11 +182,33 @@ def _cliques(rows: list[int], min_size: int, max_size: int | None = None):
             yield from rec(chosen, cand & rows[v])
             chosen.pop()
 
-    for seen, clique in enumerate(rec([], (1 << len(rows)) - 1), 1):
-        if seen > EXHAUSTIVE_CAP:
-            raise InfeasibleExhaustive(
-                f"more than {EXHAUSTIVE_CAP} hypothesis-satisfying families; use sampled mode")
-        yield clique
+    yield from rec([], (1 << len(rows)) - 1)  # lazy: an unread call builds no rec, a cycle
+
+
+def _clique_count(rows: list[int], closed: list[int], min_size: int) -> int:
+    """How many cliques ``_cliques(rows, min_size)`` lists, or a count past ``EXHAUSTIVE_CAP``.
+
+    ``_cliques``' walk on a stack, but a node whose c candidates are a clique
+    (``closed[u]`` is ``rows[u]`` plus u) adds C(c, j) for j >= min_size - size.
+    """
+    count, stack = 0, [(0, (1 << len(rows)) - 1)]
+    while stack and count <= EXHAUSTIVE_CAP:
+        size, cand = stack.pop()
+        rest = cand
+        while rest and not cand & ~closed[(rest & -rest).bit_length() - 1]:
+            rest &= rest - 1
+        if not rest:
+            c = cand.bit_count()
+            count += sum(comb(c, j) for j in range(max(min_size - size, 0), c + 1))
+            continue
+        count += size >= min_size
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand ^= 1 << v
+            if size + 1 + cand.bit_count() < min_size:
+                break
+            stack.append((size + 1, cand & rows[v]))
+    return count
 
 
 def _sample_family(rng: random.Random, rows: list[int], closed: list[int],
@@ -288,6 +316,8 @@ def _family_check(params, mode, rng, trials, shapes, test, min_size: int = 2):
         return 0, [], 0
     rows = _proj_rows(n1, n2, rects)
     closed = [row | 1 << v for v, row in enumerate(rows)]
+    if mode == EXHAUSTIVE:
+        _require_exhaustive(_clique_count(rows, closed, min_size), "families")
     blocking = _BlockingRows(rects, b)
 
     def judge(mask):
@@ -305,42 +335,32 @@ def _family_check(params, mode, rng, trials, shapes, test, min_size: int = 2):
 def _check_distance_graph_cliques(params, mode, rng, trials):
     n, k = _param(params, "n", "k")
     _require(2 <= 2 * k < n, "2 <= 2k < n")
-    bad = []
 
     def is_clique(vs):  # vs ascending
         return all(point_distance(u, v, n) <= k - 1 for u, v in combinations(vs, 2))
 
     def judge(vs):
-        """Record the clique ``vs`` (ascending) if it is larger than k or not consecutive."""
+        """True, or a record when the clique ``vs`` (ascending) is over k or not consecutive."""
         if len(vs) > k:
-            bad.append({"kind": "clique larger than k", "vertices": list(vs)})
-        elif not any(all((s + i) % n in vs for i in range(k)) for s in vs):
-            bad.append({"kind": "non-consecutive k-clique", "vertices": list(vs)})
+            return {"kind": "clique larger than k", "vertices": list(vs)}
+        if not any(all((s + i) % n in vs for i in range(k)) for s in vs):
+            return {"kind": "non-consecutive k-clique", "vertices": list(vs)}
+        return True
 
     if mode == EXHAUSTIVE:
         subsets = comb(n, k + 1) + comb(n, k)
-        if subsets > EXHAUSTIVE_CAP:
-            raise InfeasibleExhaustive("too many subsets; use sampled mode")
-        for s in range(n):
-            run = sorted((s + i) % n for i in range(k))
-            if not is_clique(run):
-                bad.append({"kind": "consecutive run not a clique", "vertices": run})
-        near = [0] * n  # adjacency rows of the <=(k-1)-distance graph
-        for u, v in combinations(range(n), 2):
-            if point_distance(u, v, n) <= k - 1:
-                near[u] |= 1 << v
-                near[v] |= 1 << u
+        _require_exhaustive(subsets, "subsets")
+        bad = [{"kind": "consecutive run not a clique", "vertices": run} for s in range(n)
+               if not is_clique(run := sorted((s + i) % n for i in range(k)))]
+        # near[u]: the vertices within distance k-1 of u, u itself included, as in check 2
+        near = [mask_of(v for v in range(n) if point_distance(u, v, n) <= k - 1) for u in range(n)]
         # every (k+1)- and k-subset is an instance; only the cliques among them can fail
-        for vs in _cliques(near, k, k + 1):
-            judge(vs)
+        bad += [out for out in map(judge, _cliques(near, k, k + 1)) if out is not True]
         return n + subsets, bad, 0
-    # two draws per trial: one (k+1)-subset, one k-subset
-    for _ in range(trials):
-        for size in (k + 1, k):
-            vs = tuple(sorted(rng.sample(range(n), size)))
-            if is_clique(vs):
-                judge(vs)
-    return 2 * trials, bad, 0
+    sizes = cycle((k + 1, k))  # two draws per trial: one (k+1)-subset, one k-subset
+    return _drive(mode, rng, 2 * trials, (),
+                  lambda rng: tuple(sorted(rng.sample(range(n), next(sizes)))),
+                  lambda vs: judge(vs) if is_clique(vs) else True)
 
 
 # ---------------------------------------------------------------- check 2
@@ -357,8 +377,7 @@ def _check_interval_dispersion(params, mode, rng, trials):
 
     if mode == EXHAUSTIVE:
         subsets = comb(len(intervals), need)
-        if subsets > EXHAUSTIVE_CAP:
-            raise InfeasibleExhaustive("too many interval subsets; use sampled mode")
+        _require_exhaustive(subsets, "interval subsets")
         # near[p]: the intervals within distance b of interval p, p itself included
         near = [mask_of(q for q, other in enumerate(intervals) if interval_distance(iv, other) <= b)
                 for iv in intervals]
@@ -409,8 +428,6 @@ def _check_third_rectangle_overlap(params, mode, rng, trials):
 
     u_arcs = arcs(iv for s in range(1, b + 1) for iv in all_intervals(n1, s))
     v_arcs = arcs(iv for s in range(1, b + 1) for iv in all_intervals(n2, s))
-    if mode == EXHAUSTIVE and len(j_arcs) * far_count * len(u_arcs) * len(v_arcs) > EXHAUSTIVE_CAP:
-        raise InfeasibleExhaustive("too many triples; use sampled mode")
 
     def record(j0, i1, i2, uu, vv):
         return {"base": (j0.start, j0.length),
@@ -418,6 +435,7 @@ def _check_third_rectangle_overlap(params, mode, rng, trials):
                 "third": (uu.start, uu.length, vv.start, vv.length)}
 
     if mode == EXHAUSTIVE:  # an instance: a blocking pair sharing the base j0, a third u x v
+        _require_exhaustive(len(j_arcs) * far_count * len(u_arcs) * len(v_arcs), "triples")
         # a third whose v meets the base passes; one whose v misses it meets
         # the hypothesis only when u meets both I-projections, and then fails
         far_pairs = list(map(far_pair, range(far_count)))

@@ -305,6 +305,27 @@ class TestCheckFamilyCommand:
         assert code == 2 and err.startswith("error:") and not out
 
 
+class TestCsvFormat:
+    def test_only_bounds_and_enumerate_print_csv(self, capsys, tmp_path):
+        fam, report = tmp_path / "fam.json", tmp_path / "report.json"
+        fam.write_text(json.dumps({"n1": 2, "n2": 2, "sets": [[0, 2], [0, 3]]}))
+        for argv, header in [
+            (["bounds", "--n1", "4", "--n2", "4", "--profiles", "2,2"], "bound,value"),
+            (["enumerate", "--n1", "2", "--n2", "2", "--profiles", "1,1"], "set"),
+        ]:
+            code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+            assert code == 0 and out.splitlines()[0] == header, argv
+        for argv in (["search-max", "--n1", "4", "--n2", "4", "--profiles", "2,2"],
+                     ["check-family", "--file", str(fam)],
+                     ["verify-lemma", "1", "--n", "7", "--k", "3"],
+                     ["double-count", "--n1", "3", "--n2", "3", "--profiles", "1,1",
+                      "--random", "2", "--seed", "1"]):
+            # a usage error before the --out file is written or anything is printed
+            code, out, err = run_cli(capsys, *argv, "--format", "csv", "--out", str(report))
+            assert (code, out) == (2, "") and f"{argv[0]} has no CSV form" in err, argv
+            assert not report.exists(), argv
+
+
 class TestEnumerateCommand:
     def test_lists_sets(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--n1", "2", "--n2", "2",

@@ -6,8 +6,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ekrlab import conjectures
-from ekrlab.bounds import (_nontrivial_term, _two_sided_term, binomial, cross_bound, hm_bound,
+from ekrlab import conjectures, families
+from ekrlab.bounds import (_nontrivial_term, _two_sided_term, cross_bound, hm_bound,
                            nontrivial_bound, two_sided_bound)
 from ekrlab.conjectures import (
     BUDGET_EXHAUSTED,
@@ -141,7 +141,7 @@ class TestCrossIntersecting:
                 assert a & b
 
     def test_budget(self):
-        r = max_cross_intersecting(6, 2, budget=SearchBudget(node_limit=5))
+        r = max_cross_intersecting(6, 2, budget=SearchBudget(node_limit=1))
         assert not r.proven_optimal
         assert r.max_total >= 1
 
@@ -171,9 +171,28 @@ class TestCrossIntersecting:
         self._assert_valid_pair(r, 3)
 
     def test_node_is_one_forced_pair(self):
-        # the pairs (a, b) run over every k-set b meeting a = {0, ..., k-1}
+        # one pair (a, b) per orbit of the stabiliser of a = {0, ..., k-1}: |a & b| = 1, ..., k
         r = max_cross_intersecting(7, 3)
-        assert r.nodes == binomial(7, 3) - binomial(4, 3) == 31
+        assert r.nodes == 3
+
+    def test_one_pair_per_orbit_proves_eleven_five(self):
+        r = max_cross_intersecting(11, 5)
+        assert (r.nodes, r.proven_optimal, r.max_total) == (5, True, cross_bound(11, 5))
+        self._assert_valid_pair(r, 5)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: cross_oracle(24, 12), "2704156 candidate sets exceed the oracle cap of 8"),
+        (lambda: max_cross_intersecting(40, 20),
+         "137846528820 candidate sets exceed the vertex cap of 20000"),
+    ], ids=["oracle", "solver"])
+    def test_cap_from_the_count(self, monkeypatch, call, message):
+        def unbounded(*args):
+            raise AssertionError("k-sets listed past the cap")
+
+        for module in (conjectures, families):
+            monkeypatch.setattr(module, "combinations", unbounded)
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_no_recursion_limit_at_a_thousand_sets(self):
         # C(14, 4) = 1001 candidate sets: a recursion one level per set would overflow

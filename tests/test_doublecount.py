@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,6 @@ from ekrlab.doublecount import (
     _run_bitsets,
     double_count_check,
     enumerate_rectangle_pair_count,
-    member_weight,
     rectangle_pair_count,
     weighted_sums,
 )
@@ -41,7 +41,12 @@ from ekrlab.verifiers import verify_check
 def reference_double_count(f: Family) -> DoubleCountResult:
     """The identity by one full rectangle test per (permutation pair, member)."""
     u = f.universe
-    weights = {m: member_weight(u, profile_of(u, m)) for m in f.sets}
+
+    def weight(m):  # s(F) = C(n1,k) * C(n2,l) / (n1! * n2!) for F of profile (k, l)
+        k, l = profile_of(u, m)
+        return Fraction(comb(u.n1, k) * comb(u.n2, l), factorial(u.n1) * factorial(u.n2))
+
+    weights = {m: weight(m) for m in f.sets}
     by_member = sum(
         (Fraction(rectangle_pair_count(u, m)) * weights[m] for m in f.sets),
         start=Fraction(0),
@@ -110,14 +115,6 @@ def test_run_bitsets_match_interval_tests(n):
         parts += rng.sample(parts, rng.randint(0, len(parts)))  # duplicate parts
         rng.shuffle(parts)
         assert _run_bitsets(n, [mask_of(p) for p in parts]) == run_bitsets_reference(n, parts)
-
-
-class TestWeights:
-    def test_two_part_weight(self):
-        assert member_weight(Universe(3, 3), (1, 1)) == Fraction(1, 4)
-
-    def test_one_part_full_weight(self):
-        assert member_weight(Universe(3, 0), (3, 0)) == Fraction(1, 6)
 
 
 class TestPairCounts:
@@ -213,8 +210,7 @@ class TestDoubleCountAgainstReference:
         assert res.exact and len(res.per_pair_terms) == len(list(canonical_permutations(n1)))
 
     def test_distinct_profiles_of_equal_weight(self):
-        u = Universe(3, 3)
-        assert member_weight(u, (1, 2)) == member_weight(u, (2, 1))
+        u = Universe(3, 3)  # C(3,1) * C(3,2) = C(3,2) * C(3,1): one weight class
         f = Family(u, tuple(candidate_sets(u, [(1, 2), (2, 1)])))
         res = double_count_check(f)
         assert res == reference_double_count(f)

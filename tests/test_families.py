@@ -11,7 +11,6 @@ from ekrlab.families import (
     candidate_sets,
     enumerate_profile_sets,
     family_from_json,
-    family_to_json,
     is_intersecting,
     is_trivially_intersecting,
     is_two_sided_intersecting,
@@ -190,7 +189,7 @@ class TestFamilyIO:
     def test_round_trip(self):
         u = Universe(2, 2)
         f = fam(u, [0, 2], [1, 3])
-        data = family_to_json(f)
+        data = {"n1": 2, "n2": 2, "sets": f.to_lists()}
         assert data == {"n1": 2, "n2": 2, "sets": [[0, 2], [1, 3]]}
         assert family_from_json(json.loads(json.dumps(data))) == f
 

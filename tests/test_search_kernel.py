@@ -585,7 +585,7 @@ class TestBudgetFromEntry:
         lambda b: max_intersecting(Universe(4, 4), [(2, 2)], Constraint.NONTRIVIAL, b),
         lambda b: max_intersecting(Universe(4, 4), [(2, 2)], Constraint.NONTRIVIAL, b,
                                    symmetry=True),
-        lambda b: max_cross_intersecting(7, 3, b),
+        lambda b: max_cross_intersecting(12, 6, b),  # six forced pairs, one per |a & b|
     ], ids=["search", "search-symmetry", "cross"])
     def test_exhausted_node_limit_counts_alike(self, solve):
         # both solvers tick a node before expanding it and stop at the first

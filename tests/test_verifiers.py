@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
@@ -171,6 +173,24 @@ class TestVerifierPlumbing:
     def test_infeasible_exhaustive_advises_sampling(self):
         with pytest.raises(InfeasibleExhaustive, match="sampled"):
             verify_check("2", {"n": 40, "k": 8, "b": 8})
+
+    def test_sampled_family_check_leaves_no_cycles(self):
+        # _cliques' recursive closure is a reference cycle holding the space's rows until the
+        # next collection: sampled mode, which never lists cliques, must not build it
+        gc.collect()
+        gc.disable()
+        try:
+            verify_check("5", _WIDE, mode=SAMPLED, seed=1, trials=20)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_exhaustive_family_check_counts_before_listing(self):
+        # 2x2 rectangles on Z_9^2 have over EXHAUSTIVE_CAP proj-intersecting families
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleExhaustive, match="^too many families; use sampled mode$"):
+            verify_check("5", {"n1": 9, "n2": 9, "k": 2, "l": 2, "b": 2})
+        assert time.perf_counter() - start < 1.0
 
     @staticmethod
     def _count_calls(monkeypatch, name):
@@ -472,6 +492,36 @@ def test_exhaustive_cliques_match_subset_filter(monkeypatch, dist, kinds):
             assert (report.instances, report.counterexamples) == (instances, bad), (n, k)
             seen |= {c["kind"] for c in bad}
     assert seen == kinds
+
+
+def _cliques_by_draws(n, k, dist, seed, trials):
+    """Reference: sampled check 1 as two draws per trial, a (k+1)-subset then a k-subset."""
+    rng, bad = random.Random(seed), []
+    for _ in range(trials):
+        for size in (k + 1, k):
+            vs = tuple(sorted(rng.sample(range(n), size)))
+            if not all(dist(a, b, n) <= k - 1 for a, b in combinations(vs, 2)):
+                continue
+            if len(vs) > k:
+                bad.append({"kind": "clique larger than k", "vertices": list(vs)})
+            elif not any(all((s + i) % n in vs for i in range(k)) for s in vs):
+                bad.append({"kind": "non-consecutive k-clique", "vertices": list(vs)})
+    return 2 * trials, sorted(bad, key=repr)
+
+
+@pytest.mark.parametrize("dist", [point_distance, _halved_distance],
+                         ids=["true", "halved"])
+def test_sampled_cliques_match_draw_loop(monkeypatch, dist):
+    # the halved distance makes counterexamples, so the drawn subsets are compared
+    monkeypatch.setattr(verifiers, "point_distance", dist)
+    found = 0
+    for n in range(5, 13):
+        for k in range(1, (n - 1) // 2 + 1):
+            report = verify_check("1", {"n": n, "k": k}, mode=SAMPLED, seed=n + k, trials=30)
+            want = _cliques_by_draws(n, k, dist, n + k, 30)
+            assert (report.instances, report.counterexamples) == want, (n, k)
+            found += len(want[1])
+    assert (found > 0) == (dist is _halved_distance)
 
 
 def _dispersion_by_subsets(n, k, b, dist):
@@ -781,3 +831,21 @@ def test_cliques_match_pairwise_filter(extra):
         max_size = None if extra is None else min_size + extra
         want = _cliques_by_combinations(rows, min_size, m if max_size is None else max_size)
         assert list(verifiers._cliques(rows, min_size, max_size)) == want, (rows, min_size)
+
+
+@pytest.mark.parametrize("n,count", [(6, 684), (7, 1680), (10, 20260)])
+def test_clique_count_of_unit_rectangles(n, count):
+    rows = verifiers._proj_rows(n, n, verifiers._shape_space(n, n, [(1, 1)]))
+    assert verifiers._clique_count(rows, _closed(rows), 2) == count
+    assert sum(1 for _ in verifiers._cliques(rows, 2)) == count
+
+
+def test_clique_count_matches_listing():
+    # random graphs and disjoint cliques, so whole-clique candidate sets occur at every depth
+    graphs = random.Random(20261020)
+    for trial in range(200):
+        m = graphs.randrange(0, 13)
+        rows = _disjoint_cliques(graphs, m) if trial % 2 else _random_graph(graphs, m, graphs.random())
+        min_size = graphs.randrange(0, 5)
+        want = sum(1 for _ in verifiers._cliques(rows, min_size))
+        assert verifiers._clique_count(rows, _closed(rows), min_size) == want, (rows, min_size)
