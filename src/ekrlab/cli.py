@@ -238,6 +238,8 @@ def cmd_double_count(args) -> int:
 
 
 def cmd_hunt(args) -> int:
+    if args.format == "csv":  # before the report directory is made
+        raise ValueError("hunt prints no CSV; its table is the CSV report it writes under --out")
     names = {str(c): c for c in _CONJECTURES}  # a conjecture's number, then its constraint's value
     names |= {con.value: c for c, (con, _) in _CONJECTURES.items()}
     conjecture = names.get(args.conjecture)
@@ -253,10 +255,22 @@ def cmd_hunt(args) -> int:
     csv_path = os.path.join(out_dir, f"hunt-conjecture{conjecture}.csv")
     report = hunt(grid, conjecture, jsonl, csv_path, resume=args.resume,
                   workers=args.threads)
+    errors = [c for c in report.cells if c.status == CELL_ERROR]
+    bad = report.counterexamples + errors
+    if args.format == "json":
+        def brief(c):
+            out = {"n1": c.cell.n1, "n2": c.cell.n2, "k": c.cell.k, "l": c.cell.l,
+                   "found_max": c.found_max, "conjectured_bound": c.conjectured_bound}
+            return out | ({"error": c.error} if c.error is not None else {})
+
+        print(json.dumps({"conjecture": conjecture, "jsonl": jsonl, "csv": csv_path,
+                          "cells": len(report.cells), "statuses": report.statuses,
+                          "counterexamples": [brief(c) for c in report.counterexamples],
+                          "errors": [brief(c) for c in errors]}, sort_keys=True, indent=2))
+        return 1 if bad else 0
     print(f"hunted {len(report.cells)} cells -> {jsonl}")
     for status, count in sorted(report.statuses.items()):
         print(f"  {status}: {count}")
-    bad = report.counterexamples + [c for c in report.cells if c.status == CELL_ERROR]
     for c in bad:
         print(f"  !! {c.cell}: {c.status} found_max={c.found_max} bound={c.conjectured_bound}")
     return 1 if bad else 0

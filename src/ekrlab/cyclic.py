@@ -44,9 +44,6 @@ class Interval:
         if self.length == self.n and self.start != 0:
             object.__setattr__(self, "start", 0)  # full cycle has one representation
 
-    def elements(self) -> tuple[int, ...]:
-        return tuple(sorted((self.start + i) % self.n for i in range(self.length)))
-
     def contains(self, x: int) -> bool:
         if self.n == 0:
             return False

@@ -58,6 +58,23 @@ least that size, so v's subtree can neither beat nor tie it: the maximum,
 the witness and when the incumbent changes are the same as without the
 rule.
 
+Non-trivial and two-sided search add a star-node bound (the maximum
+non-trivial family sits below the star by a Hilton-Milner margin, and the
+colouring counts the star as reachable).  Both constraints imply a valid
+clique has an empty common intersection, so for each live element e of
+R's intersection every valid extension holds a candidate of w = p &
+avoid[e].  The node takes the live e with the smallest w; the candidates
+p - w all contain e, so they form a clique, and the largest extension
+through w is exactly the maximum, over non-empty cliques K inside w, of
+|K| plus K's common neighbours in p - w.  When |w| <= ``STAR_NODE_MAX``
+``_star_node_beats`` enumerates it on a bitset stack, and the node is
+pruned, before its colouring, unless some K beats the incumbent.  The
+bound is admissible, like the colour bound: it prunes only nodes with no
+valid extension larger than the incumbent.  So a finished subtree still
+raises the incumbent to its largest valid clique, which is what the
+dominance rule needs, and orbital branching keeps its proof, since the
+bound is the same at every node of an orbit.
+
 The search runs on a renumbered copy of the graph.  A colour class is a
 pairwise-disjoint family, and in the canonical (lexicographic) numbering
 the greedy colouring leaves many sets alone in their class, so its bound
@@ -72,7 +89,10 @@ that mix profiles gave larger trees: over the 212 ANY lists of one to
 three profiles at (4,4) to (6,6), 32 stayed unproven at 30,000 nodes
 with mixed packings, 21 in the canonical numbering, 11 with one profile
 per packing.  The roots keep the degeneracy order
-of the canonical graph, mapped to the new numbering.  Ties between
+of the canonical graph, mapped to the new numbering.  The order is read
+lazily: under symmetry each profile class roots at its first vertex in
+the order, and ``run`` stops reading once every class has a root: for
+one profile, after the first vertex.  Ties between
 maximum cliques go to the lexicographically smallest vertex set in the
 search numbering, compared on bitsets: of two sets of one size, the
 smaller holds the lowest vertex in which they differ.
@@ -106,6 +126,7 @@ from .families import (
 
 VERTEX_CAP = 20_000
 ORACLE_CAP = 25
+STAR_NODE_MAX = 10  # the widest non-star part the star-node bound enumerates
 
 
 class Constraint(Enum):
@@ -256,25 +277,26 @@ def _packed(graph: CompatibilityGraph) -> tuple[CompatibilityGraph, list[int], l
     return CompatibilityGraph(u, graph.profiles, masks, rows), perm, inc
 
 
-def _degeneracy_order(adj: tuple[int, ...]) -> list[int]:
+def _degeneracy_order(adj: tuple[int, ...]):
     """Repeatedly remove a minimum-degree vertex; ties go to the smaller index.
 
     Bucket queue (Matula & Beck) whose buckets are bitsets: bucket d holds
     the live vertices of degree d, so the lowest set bit of the lowest
     bucket is the next vertex.  A removal moves the neighbours of each
-    bucket down one degree with a single AND.
+    bucket down one degree with a single AND.  A generator: each vertex is
+    yielded before its removal updates the buckets, so a caller that stops
+    after r vertices pays for r - 1 removals.
     """
     buckets: dict[int, int] = {}
     for v, row in enumerate(adj):
         d = row.bit_count()
         buckets[d] = buckets.get(d, 0) | 1 << v
     alive = (1 << len(adj)) - 1
-    order = []
     while alive:
         d = min(buckets)
         low = buckets[d] & -buckets[d]
         v = low.bit_length() - 1
-        order.append(v)
+        yield v
         alive ^= low
         _bucket_remove(buckets, d, low)
         nbrs = adj[v] & alive
@@ -286,7 +308,6 @@ def _degeneracy_order(adj: tuple[int, ...]) -> list[int]:
                 nbrs ^= moved
                 if not nbrs:
                     break
-    return order
 
 
 def _bucket_remove(buckets: dict[int, int], d: int, bits: int) -> None:
@@ -318,6 +339,32 @@ def _orbit_classes(classes, p: int, parts, inc) -> list[int]:
     return classes
 
 
+def _star_node_beats(adj, w: int, star: int, target: int) -> bool:
+    """Whether some non-empty clique K inside w has |K| + |star & N(K)| > target.
+
+    star must be a clique, so K and its common neighbours in star form one:
+    the largest such clique is the largest clique meeting w.  K grows depth
+    first on a stack of (|K|, the vertices of w after K's last one adjacent
+    to all of K, K's common neighbours in star), skipping a K that cannot
+    reach past target, and the walk stops at the first K that does.
+    """
+    stack = [(0, w, star)]
+    while stack:
+        size, cand, common = stack.pop()
+        size += 1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            row = adj[low.bit_length() - 1]
+            common_v = common & row
+            reach = size + common_v.bit_count()
+            if reach > target:
+                return True
+            if (more := cand & row) and reach + more.bit_count() > target:
+                stack.append((size, more, common_v))
+    return False
+
+
 def _split_atoms(atoms, vmask: int):
     """The atoms of R + v and the cuts of v, or None when all atoms are singletons.
 
@@ -339,10 +386,14 @@ def _split_atoms(atoms, vmask: int):
 
 
 class _CliqueSearch:
-    def __init__(self, graph: CompatibilityGraph, inc: list[int], order: list[int],
+    def __init__(self, graph: CompatibilityGraph, inc: list[int], order,
                  constraint: Constraint, budget: SearchBudget | None, symmetry: bool,
                  start: float):
-        """Search graph, whose S_e rows are inc, rooting its vertices in the given order."""
+        """Search graph, whose S_e rows are inc, rooting its vertices in the given order.
+
+        The order is an iterable read once, by ``run``, and only as far as
+        it needs: under symmetry, until every profile class has its root.
+        """
         self.graph = graph
         self.order = order
         self.constraint = constraint
@@ -441,20 +492,26 @@ class _CliqueSearch:
         if not p:
             return []
         if self.constraint is not Constraint.ANY:
-            # an element e of and_all that every candidate contains (p misses
-            # avoid[e]) stays in every extension's intersection: prune, unless
-            # a pair already misses e's side
+            # every valid extension holds a candidate of w = p & avoid[e]
+            # for each live element e of and_all (one on a side that no pair
+            # of R misses yet); the star part p - w, all holding e, is a clique
             live = and_all
             if miss1:
                 live &= self.x2m
             if miss2:
                 live &= self.x1m
             avoid = self.avoid
+            w, wsize = 0, STAR_NODE_MAX + 1
             while live:
                 low = live & -live
-                if not p & avoid[low.bit_length() - 1]:
+                we = p & avoid[low.bit_length() - 1]
+                if not we:
                     return []
+                if (c := we.bit_count()) < wsize:
+                    w, wsize = we, c
                 live ^= low
+            if w and not _star_node_beats(self.adj, w, p ^ w, self.best - rsize):
+                return []
         return self._color_order(p, self.best - rsize + 1)
 
     def _branch(self, order, rbits: int, rsize: int, and_all: int, miss1: bool, miss2: bool,
@@ -527,37 +584,39 @@ class _CliqueSearch:
         return miss1 and miss2
 
     def run(self) -> tuple[bool, int]:
-        order = self.order
         suffix = (1 << self.graph.size) - 1
-        eligible = None
+        unrooted = None
         if self.symmetry:
             # the orbits of S_n1 x S_n2 (atoms X1, X2) are the profile classes;
-            # each class roots once, at its earliest vertex in the order
-            pos = [0] * self.graph.size
-            for i, v in enumerate(order):
-                pos[v] = i
+            # each class roots once, at its earliest vertex in the order, so
+            # the order is read only until every class has its root
             parts = (self.x1m, self.x2m)
             profile_classes = _orbit_classes([suffix], suffix, parts, self.inc)
-            eligible = {min(iter_bits(c), key=pos.__getitem__) for c in profile_classes}
+            unrooted = suffix
         completed = True
         try:
             if self.budget.exceeded(0, self.start):
                 raise _BudgetExhausted  # set-up alone used up the time limit
-            for v in order:
+            for i, v in enumerate(self.order):
                 bit = 1 << v
                 suffix ^= bit
-                if eligible is not None and v not in eligible:
-                    continue
-                self._tick()
                 vmask = self.masks[v]
+                orbit = None
+                if unrooted is not None:
+                    if not unrooted & bit:
+                        continue
+                    unrooted ^= next(c for c in profile_classes if c & bit)
+                    # below the position-0 root p is every neighbour of v,
+                    # closed under v's stabiliser, so orbital branching is
+                    # sound there
+                    if i == 0 and (split := _split_atoms(parts, vmask)):
+                        orbit = (*split, profile_classes)
+                self._tick()
                 if self._valid(vmask, False, False):
                     self.offer(1, bit)
-                # below the position-0 root p is every neighbour of v, closed
-                # under v's stabiliser, so orbital branching is sound there
-                orbit = None
-                if eligible is not None and v == order[0] and (split := _split_atoms(parts, vmask)):
-                    orbit = (*split, profile_classes)
                 self._expand(bit, 1, vmask, False, False, self.adj[v] & suffix, orbit)
+                if unrooted == 0:
+                    break
         except _BudgetExhausted:
             completed = False
         return completed, self.nodes
@@ -610,7 +669,7 @@ def max_intersecting(u: Universe, profiles, constraint: Constraint = Constraint.
         raise ValueError("two-sided constraint needs a two-part universe")
     packed, perm, inc = _packed(graph)
     index = {v: i for i, v in enumerate(perm)}
-    order = [index[v] for v in _degeneracy_order(graph.adjacency)]
+    order = (index[v] for v in _degeneracy_order(graph.adjacency))
     search = _CliqueSearch(packed, inc, order, constraint, budget, symmetry, start)
     if seed is not None:
         bits = _seed_indices(packed, seed, constraint)

@@ -166,23 +166,25 @@ def _cliques(rows: list[int], min_size: int, max_size: int | None = None):
 
     Cliques come as ascending index tuples, in lexicographic order.  Callers
     bound their number first: by a closed form, or by ``_clique_count``.
+    The walk runs on an explicit stack, as ``_clique_count``'s does: a
+    clique is yielded, then its children are pushed last one first.
     """
-
-    def rec(chosen: list[int], cand: int):
-        if len(chosen) >= min_size:
-            yield tuple(chosen)
-            if len(chosen) == max_size:
-                return
+    stack = [((), (1 << len(rows)) - 1)]
+    while stack:
+        chosen, cand = stack.pop()
+        size = len(chosen)
+        if size >= min_size:
+            yield chosen
+            if size == max_size:
+                continue
+        children = []
         while cand:
             v = (cand & -cand).bit_length() - 1
             cand ^= 1 << v
-            if len(chosen) + 1 + cand.bit_count() < min_size:
-                return
-            chosen.append(v)
-            yield from rec(chosen, cand & rows[v])
-            chosen.pop()
-
-    yield from rec([], (1 << len(rows)) - 1)  # lazy: an unread call builds no rec, a cycle
+            if size + 1 + cand.bit_count() < min_size:
+                break
+            children.append((chosen + (v,), cand & rows[v]))
+        stack += reversed(children)
 
 
 def _clique_count(rows: list[int], closed: list[int], min_size: int) -> int:

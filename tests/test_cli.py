@@ -369,6 +369,45 @@ class TestHuntCommand:
         assert code == 1
         assert "counterexample" in out
 
+    def test_text_summary(self, capsys, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"cells": [[2, 2, 1, 1], [5, 5, 2, 2]]}))
+        out_dir = tmp_path / "reports"
+        code, out, _ = run_cli(capsys, "hunt", "--conjecture", "1", "--grid", str(grid),
+                               "--out", str(out_dir))
+        assert code == 1
+        assert out == (f"hunted 2 cells -> {out_dir / 'hunt-conjecture1.jsonl'}\n"
+                       "  confirmed: 1\n  counterexample: 1\n"
+                       "  !! GridCell(n1=5, n2=5, k=2, l=2): counterexample found_max=35 bound=30\n")
+
+    def test_format_json_prints_a_summary(self, capsys, tmp_path):
+        # once printed the text summary under --format json
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"cells": [[2, 2, 1, 1], [5, 5, 2, 2]]}))
+        out_dir = tmp_path / "reports"
+        code, out, _ = run_cli(capsys, "hunt", "--conjecture", "1", "--grid", str(grid),
+                               "--out", str(out_dir), "--format", "json")
+        assert code == 1
+        assert json.loads(out) == {
+            "conjecture": 1,
+            "jsonl": str(out_dir / "hunt-conjecture1.jsonl"),
+            "csv": str(out_dir / "hunt-conjecture1.csv"),
+            "cells": 2,
+            "statuses": {"confirmed": 1, "counterexample": 1},
+            "counterexamples": [{"n1": 5, "n2": 5, "k": 2, "l": 2, "found_max": 35,
+                                 "conjectured_bound": 30}],
+            "errors": [],
+        }
+        assert len((out_dir / "hunt-conjecture1.jsonl").read_text().splitlines()) == 2
+
+    def test_format_csv_is_a_usage_error(self, capsys, tmp_path):
+        # once printed the text summary and exited 0; the table is the CSV report
+        code, out, err = run_cli(capsys, "hunt", "--conjecture", "1", "--format", "csv",
+                                 "--out", str(tmp_path / "reports"))
+        assert code == 2 and out == ""
+        assert "hunt prints no CSV" in err
+        assert not (tmp_path / "reports").exists()
+
     @pytest.mark.parametrize("budget", [{"node_limit": 0}, {"time_limit_ms": 0},
                                         {"time_limit_ms": -5}])
     def test_grid_budget_must_be_positive(self, capsys, tmp_path, budget):

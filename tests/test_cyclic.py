@@ -20,7 +20,7 @@ from ekrlab.cyclic import (
     proj_intersecting,
     set_to_rectangle,
 )
-from ekrlab.cyclic import _consecutive_interval
+from ekrlab.cyclic import _arc_mask, _consecutive_interval
 from ekrlab.families import Universe, mask_of
 
 
@@ -40,9 +40,17 @@ class TestPointDistance:
         assert point_distance(u, w, n) <= point_distance(u, v, n) + point_distance(v, w, n)
 
 
+def _elements(iv):
+    """Reference: an interval's elements on Z_n, stepped one by one from its start."""
+    return sorted((iv.start + i) % iv.n for i in range(iv.length))
+
+
 class TestInterval:
     def test_elements_wrap(self):
-        assert Interval(6, 4, 3).elements() == (0, 4, 5)
+        assert _arc_mask(Interval(6, 4, 3)) == mask_of([0, 4, 5])
+        for n in range(1, 9):
+            for iv in (Interval(n, s, length) for s in range(n) for length in range(1, n + 1)):
+                assert _arc_mask(iv) == mask_of(_elements(iv))
 
     def test_full_cycle_canonical(self):
         assert Interval(5, 3, 5) == Interval(5, 0, 5)
@@ -79,8 +87,8 @@ class TestInterval:
         n = data.draw(st.integers(1, 12))
         i1, i2 = (Interval(n, data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, n)))
                   for _ in range(2))
-        scan_overlap = any(i2.contains(x) for x in i1.elements())
-        scan_distance = min(point_distance(a, b, n) for a in i1.elements() for b in i2.elements())
+        scan_overlap = any(i2.contains(x) for x in _elements(i1))
+        scan_distance = min(point_distance(a, b, n) for a in _elements(i1) for b in _elements(i2))
         assert i1.overlaps(i2) == i2.overlaps(i1) == scan_overlap
         assert interval_distance(i1, i2) == interval_distance(i2, i1) == scan_distance
 

@@ -17,6 +17,14 @@ cell or a new pin is re-validated with the predicates of ``families.py``
 (profile, intersection, the constraint, size), so its digest is always
 that of a valid maximum.
 Witnesses are pinned by a digest of their canonical JSON lists.
+
+The non-trivial and two-sided trees were re-pinned when the star-node
+bound came in (``search._star_node_beats``): a node whose every valid
+extension is too small is pruned before its colouring.  The hunt cells
+(5,5){(2,1)}, (4,5){(2,2)}, (5,4){(2,2)} and (5,5){(2,2)}, the (6,5) and
+(6,6){(3,2)} cells and the two-profile cell take fewer nodes (1,582 ->
+603 on (5,5){(2,2)}); no maximum, proven flag or witness moved, and the
+ANY pins, which the bound never reaches, did not change.
 """
 
 import hashlib
@@ -28,6 +36,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ekrlab import search
 from ekrlab.bounds import star_bound
 from ekrlab.conjectures import ParameterGrid, best_construction, max_cross_intersecting
 from ekrlab.families import (
@@ -46,6 +55,7 @@ from ekrlab.search import (
     _orbit_classes,
     _packed,
     _split_atoms,
+    _star_node_beats,
     build_graph,
     element_incidence,
     max_intersecting,
@@ -61,12 +71,12 @@ def _digest(result) -> str:
 HUNT_CELLS = {
     (1, 4, 5, 2, 2): (2, 30, "846f0f29f12dfc40"),
     (1, 5, 4, 2, 2): (5, 30, "a8a8b5ff0b9b441f"),
-    (1, 5, 5, 2, 1): (24, 15, "dee07ee1c96f6d75"),
-    (1, 5, 5, 2, 2): (1582, 35, "5cf91f6e1521bc08"),
-    (2, 4, 5, 2, 2): (120, 28, "b7c72fb21f767130"),
-    (2, 5, 4, 2, 2): (267, 28, "aca5595b6f6c9377"),
-    (2, 5, 5, 2, 1): (35, 13, "bf4305555588816c"),
-    (2, 5, 5, 2, 2): (1582, 35, "5cf91f6e1521bc08"),
+    (1, 5, 5, 2, 1): (4, 15, "dee07ee1c96f6d75"),
+    (1, 5, 5, 2, 2): (603, 35, "5cf91f6e1521bc08"),
+    (2, 4, 5, 2, 2): (89, 28, "b7c72fb21f767130"),
+    (2, 5, 4, 2, 2): (175, 28, "aca5595b6f6c9377"),
+    (2, 5, 5, 2, 1): (31, 13, "bf4305555588816c"),
+    (2, 5, 5, 2, 2): (603, 35, "5cf91f6e1521bc08"),
 }
 
 
@@ -188,22 +198,33 @@ class TestPinnedTree:
         assert (r.nodes, r.max_size, _digest(r)) == HUNT_CELLS[key]
         _assert_valid_witness(r, CONSTRAINT[key[0]], [key[3:]])
 
-    @pytest.mark.parametrize("conjecture,nodes", [(1, 5813), (2, 7961)])
+    @pytest.mark.parametrize("conjecture,nodes", [(1, 1732), (2, 2405)],
+                             ids=["conjecture1", "conjecture2"])
     def test_six_five_cell_is_proven(self, conjecture, nodes):
         # a counterexample cell beyond the default grid: sibling-only
         # dominance took 680,671 / 680,704 nodes, ancestor dominance
-        # 19,809 / 19,842 in the canonical numbering
+        # 19,809 / 19,842 in the canonical numbering, the packing numbering
+        # 5,813 / 7,961 before the star-node bound
         r = _hunt_search(conjecture, 6, 5, 2, 2)
         assert r.proven_optimal
         assert (r.nodes, r.max_size, _digest(r)) == (nodes, 49, "de5096c87905c50b")
         _assert_valid_witness(r, CONSTRAINT[conjecture], [(2, 2)])
 
     def test_six_six_three_two_is_proven(self):
-        # 196,891 nodes in the canonical numbering
+        # 196,891 nodes in the canonical numbering, 69,567 before the
+        # star-node bound
         r = _hunt_search(2, 6, 6, 3, 2)
         assert r.proven_optimal
-        assert (r.nodes, r.max_size, _digest(r)) == (69567, 145, "e60c689fe7a15f16")
+        assert (r.nodes, r.max_size, _digest(r)) == (69457, 145, "e60c689fe7a15f16")
         _assert_valid_witness(r, Constraint.TWO_SIDED, [(3, 2)])
+
+    @pytest.mark.parametrize("conjecture", [1, 2])
+    def test_six_six_cell_is_proven(self, conjecture):
+        # 57,533 nodes each before the star-node bound
+        r = _hunt_search(conjecture, 6, 6, 2, 2)
+        assert r.proven_optimal
+        assert (r.nodes, r.max_size, _digest(r)) == (20623, 58, "cda646ea12497861")
+        _assert_valid_witness(r, CONSTRAINT[conjecture], [(2, 2)])
 
     def test_boundary_profile_proves_the_star_bound(self):
         # 2k = n1: unproven after 3.1M nodes in the canonical numbering, where
@@ -241,7 +262,7 @@ class TestPinnedTree:
         r = max_intersecting(Universe(4, 4), [(1, 2), (2, 1)], Constraint.NONTRIVIAL,
                              symmetry=True)
         assert r.proven_optimal
-        assert (r.nodes, r.max_size, _digest(r)) == (124, 14, "6d4a818efbc0b86e")
+        assert (r.nodes, r.max_size, _digest(r)) == (39, 14, "6d4a818efbc0b86e")
         _assert_valid_witness(r, Constraint.NONTRIVIAL, [(1, 2), (2, 1)])
 
     def test_wide_any(self):
@@ -307,7 +328,7 @@ class TestRows:
     @given(graphs())
     @settings(max_examples=200, deadline=None)
     def test_bucket_queue_matches_min_scan(self, adj):
-        assert _degeneracy_order(adj) == _naive_degeneracy_order(adj)
+        assert list(_degeneracy_order(adj)) == _naive_degeneracy_order(adj)
 
     @given(instances())
     @settings(max_examples=100, deadline=None)
@@ -471,6 +492,90 @@ class TestDominance:
             assert s.nodes <= ref.nodes, adj
 
 
+def _largest_star_node_extension(adj, w, star):
+    """Reference: the largest |K| + |star & N(K)| over every non-empty clique K inside w."""
+    best = 0
+    ws = list(iter_bits(w))
+    for r in range(1, len(ws) + 1):
+        for k in itertools.combinations(ws, r):
+            if all(adj[a] >> b & 1 for a, b in itertools.combinations(k, 2)):
+                common = star
+                for v in k:
+                    common &= adj[v]
+                best = max(best, r + common.bit_count())
+    return best
+
+
+class _NoStarBound(_CliqueSearch):
+    """The kernel before the star-node bound: only the empty-w prune of ``_open`` is kept."""
+
+    def _open(self, rsize, and_all, miss1, miss2, p):
+        self._tick()
+        if not p:
+            return []
+        if self.constraint is not Constraint.ANY:
+            live = and_all
+            if miss1:
+                live &= self.x2m
+            if miss2:
+                live &= self.x1m
+            while live:
+                low = live & -live
+                if not p & self.avoid[low.bit_length() - 1]:
+                    return []
+                live ^= low
+        return self._color_order(p, self.best - rsize + 1)
+
+
+def _small_profile_lists():
+    """Every list of one or two profiles (k, l), 1 <= k <= n1, 1 <= l <= n2, with n1, n2 <= 4."""
+    for n1, n2 in itertools.product(range(1, 5), repeat=2):
+        profiles = list(itertools.product(range(1, n1 + 1), range(1, n2 + 1)))
+        for r in (1, 2):
+            for ps in itertools.combinations(profiles, r):
+                yield Universe(n1, n2), list(ps)
+
+
+class TestStarNodeBound:
+    def test_enumeration_matches_brute_force(self):
+        # random graphs whose vertices outside w pairwise meet, as the
+        # candidates holding a common element do; every target from below
+        # the empty answer to past the whole graph
+        rng = random.Random(20261020)
+        for _ in range(1500):
+            m, density = rng.randint(1, 16), rng.random()
+            w = rng.randint(1, (1 << m) - 1)
+            star = ((1 << m) - 1) ^ w
+            adj = [0] * m
+            for i, j in itertools.combinations(range(m), 2):
+                if star >> i & star >> j & 1 or rng.random() < density:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            want = _largest_star_node_extension(adj, w, star)
+            for target in range(-1, m + 2):
+                assert _star_node_beats(adj, w, star, target) == (want > target), (adj, w, target)
+
+    @pytest.mark.parametrize("constraint", [Constraint.NONTRIVIAL, Constraint.TWO_SIDED])
+    @pytest.mark.parametrize("symmetry", [False, True])
+    def test_bound_keeps_maximum_flag_and_witness(self, monkeypatch, constraint, symmetry):
+        # the bound prunes only nodes that cannot beat the incumbent; on every
+        # small list the answer is the one the kernel gives without it, in
+        # no more nodes
+        got, nodes = [], 0
+        for u, ps in _small_profile_lists():
+            r = max_intersecting(u, ps, constraint, symmetry=symmetry)
+            got.append((r.max_size, r.proven_optimal, r.witness.sets))
+            nodes += r.nodes
+        monkeypatch.setattr(search, "_CliqueSearch", _NoStarBound)
+        want, ref_nodes = [], 0
+        for u, ps in _small_profile_lists():
+            r = max_intersecting(u, ps, constraint, symmetry=symmetry)
+            want.append((r.max_size, r.proven_optimal, r.witness.sets))
+            ref_nodes += r.nodes
+        assert got == want
+        assert nodes < ref_nodes
+
+
 def _swap_bits(mask, a, b):
     if ((mask >> a) ^ (mask >> b)) & 1:
         return mask ^ ((1 << a) | (1 << b))
@@ -559,7 +664,7 @@ class TestOrbitClasses:
         everyone = (1 << g.size) - 1
         if not g.size:
             return
-        v = _degeneracy_order(g.adjacency)[0]
+        v = next(_degeneracy_order(g.adjacency))
         atoms, p = (u.x1_mask, u.x2_mask), everyone
         classes = _orbit_classes([everyone], everyone, atoms, inc)
         while True:

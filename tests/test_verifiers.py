@@ -175,12 +175,26 @@ class TestVerifierPlumbing:
             verify_check("2", {"n": 40, "k": 8, "b": 8})
 
     def test_sampled_family_check_leaves_no_cycles(self):
-        # _cliques' recursive closure is a reference cycle holding the space's rows until the
-        # next collection: sampled mode, which never lists cliques, must not build it
+        # a reference cycle would hold the space's rows until the next collection
         gc.collect()
         gc.disable()
         try:
             verify_check("5", _WIDE, mode=SAMPLED, seed=1, trials=20)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("check_id,params", [
+        ("1", {"n": 12, "k": 4}),
+        ("5", {"n1": 5, "n2": 5, "k": 1, "l": 1, "b": 1}),
+    ])
+    def test_exhaustive_check_leaves_no_cycles(self, check_id, params):
+        # _cliques walks an explicit stack: a self-referencing generator
+        # closure left 7 objects to the cyclic collector per call
+        gc.collect()
+        gc.disable()
+        try:
+            assert verify_check(check_id, params).passed
             assert gc.collect() == 0
         finally:
             gc.enable()
