@@ -323,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constraint", default="any", choices=["any", "nontrivial", "twosided"])
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--time-limit-ms", type=int, default=None)
-    p.add_argument("--symmetry", action="store_true",
-                   help="orbit-restricted roots and orbital branching below the first root")
+    p.add_argument("--symmetry", action="store_true", help="orbital branching from the root")
     p.set_defaults(fn=cmd_search_max)
 
     p = sub.add_parser("verify-lemma", help="run one structural verifier")

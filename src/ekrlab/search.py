@@ -16,23 +16,24 @@ BBMC).  The constraint prunes test precomputed rows: ``avoid[e]`` (the
 candidates missing e) and, for two-sided search, ``miss1[v]`` /
 ``miss2[v]`` (the neighbours whose intersection with v misses X1 / X2).
 
-With ``symmetry=True`` the search uses the group S_n1 x S_n2, which
-preserves profiles, adjacency and both constraints.  Its orbits on sets
-are the profile classes, and each class roots once, at its earliest
-vertex in the degeneracy order.  Below the position-0 root the search
-does orbital branching (Ostrowski et al.).  The atoms of a clique R split
-the ground set into blocks of elements with the same part and the same
-membership in every set of R; a permutation inside the atoms fixes every
+The root is the empty clique's node, branched like any other: its
+candidates are every vertex, taken in the degeneracy order, and each has
+colour m, the vertex count, so the colour bound stops the roots only once
+the incumbent holds every vertex.  With ``symmetry=True`` every node, the
+root included, does orbital branching (Ostrowski et al.) under the group
+S_n1 x S_n2, which preserves profiles, adjacency and both constraints.
+The atoms of a clique R split the ground set into blocks of elements with
+the same part and the same membership in every set of R (the empty
+clique's atoms are X1 and X2); a permutation inside the atoms fixes every
 set of R, and two candidates lie in one orbit of that atom group exactly
-when they meet every atom in the same number of elements.  After
-branching on v a node drops v's whole class from its candidates, since
-any extension through a class-mate maps onto one through v.  That needs
-the invariant that every node's candidate set is a union of classes: the
-position-0 root's candidates are all its neighbours, which its stabiliser
-maps onto themselves, and a child's candidates are its parent's (a union
-of classes) meeting the neighbours of v (fixed by the child's smaller
-group).  A later root's candidates are cut to the vertices after it in
-the order, which breaks the invariant, so it branches plainly.
+when they meet every atom in the same number of elements, so the root's
+classes are the profile classes.  After branching on v a node drops v's
+whole class from its candidates, since any extension through a class-mate
+maps onto one through v: each profile class roots once, at its first
+vertex in the order.  That needs the invariant that every node's
+candidate set is a union of classes: the root's candidates are all
+vertices, and a child's candidates are its parent's (a union of classes)
+meeting the neighbours of v (fixed by the child's smaller group).
 
 The classes are refined incrementally.  A child's atoms are its parent's
 atoms split by v, and a set's count in a - v is its count in a minus its
@@ -42,21 +43,21 @@ at most k + l elements, not all n1 + n2.  It does so only once a candidate
 passes the colour bound, so a pruned node never pays, and it hands its
 classes down to its children.
 
-Every node also prunes by neighbourhood dominance.  Before branching on v
-it takes v's child candidates pv = p & adj[v]; when some vertex a that was
-branched on earlier is adjacent to v and to all of pv, v (its class,
-under orbital branching) leaves p with no child.  a may have been branched
-on at this node or at an ancestor A, before the branch that leads here:
-each node carries the set of such vertices down, and a child keeps a only
-while a is adjacent to every vertex added since A, so every clique of this
-node plus a lies in a's subtree at A.  Each clique of v's subtree plus a
-is then a strictly larger clique inside a's subtree, and it stays valid
-because every constraint is monotone: adding a set to a valid clique
-keeps it valid (the common intersection only shrinks, the pairs that miss
-a side only grow).  a's finished subtree has raised the incumbent to at
-least that size, so v's subtree can neither beat nor tie it: the maximum,
-the witness and when the incumbent changes are the same as without the
-rule.
+Every node but the root also prunes by neighbourhood dominance.  Before
+branching on v it takes v's child candidates pv = p & adj[v]; when some
+vertex a that was branched on earlier is adjacent to v and to all of pv,
+v (its class, under orbital branching) leaves p with no child.  a may
+have been branched on at this node or at an ancestor A, before the
+branch that leads here: each node carries the set of such vertices down,
+and a child keeps a only while a is adjacent to every vertex added since
+A, so every clique of this node plus a lies in a's subtree at A.  Each
+clique of v's subtree plus a is then a strictly larger clique inside a's
+subtree, and it stays valid because every constraint is monotone: adding
+a set to a valid clique keeps it valid (the common intersection only
+shrinks, the pairs that miss a side only grow).  a's finished subtree has
+raised the incumbent to at least that size, so v's subtree can neither
+beat nor tie it: the maximum, the witness and when the incumbent changes
+are the same as without the rule.
 
 Non-trivial and two-sided search add a star-node bound (the maximum
 non-trivial family sits below the star by a Hilton-Milner margin, and the
@@ -88,14 +89,13 @@ candidates in that order and so starts from those packings.  Packings
 that mix profiles gave larger trees: over the 212 ANY lists of one to
 three profiles at (4,4) to (6,6), 32 stayed unproven at 30,000 nodes
 with mixed packings, 21 in the canonical numbering, 11 with one profile
-per packing.  The roots keep the degeneracy order
-of the canonical graph, mapped to the new numbering.  The order is read
-lazily: under symmetry each profile class roots at its first vertex in
-the order, and ``run`` stops reading once every class has a root: for
-one profile, after the first vertex.  Ties between
-maximum cliques go to the lexicographically smallest vertex set in the
-search numbering, compared on bitsets: of two sets of one size, the
-smaller holds the lowest vertex in which they differ.
+per packing.  The root branches in the degeneracy order of the canonical
+graph, mapped to the new numbering, and reads it lazily: it stops once
+its candidates are empty, so under symmetry once every profile class has
+a root (for one profile, after the first vertex).  Ties between maximum
+cliques go to the lexicographically smallest vertex set in the search
+numbering, compared on bitsets: of two sets of one size, the smaller
+holds the lowest vertex in which they differ.
 
 The depth-first search uses no recursion: it runs on an explicit stack
 of per-node generators, each yielding its children in branch order, so a
@@ -150,7 +150,9 @@ class SearchBudget:
         """Whether ``nodes`` ticked nodes, or the time since the call's ``start``, exceed it.
 
         Solvers tick a node before expanding it, so limit n stops at n + 1
-        nodes, and check ``nodes = 0`` after set-up, which the time counts.
+        nodes; the time counts set-up.  The clique search's first tick, the
+        empty clique's, checks the time after set-up; the cross solver
+        checks ``nodes = 0`` before its first node.
         """
         return (self.node_limit is not None and nodes > self.node_limit
                 or self.time_limit_s is not None and time.perf_counter() - start > self.time_limit_s)
@@ -391,8 +393,9 @@ class _CliqueSearch:
                  start: float):
         """Search graph, whose S_e rows are inc, rooting its vertices in the given order.
 
-        The order is an iterable read once, by ``run``, and only as far as
-        it needs: under symmetry, until every profile class has its root.
+        The order is an iterable read once, by the root's ``_branch``, and
+        only as far as it needs: under symmetry, until every profile class
+        has its root.
         """
         self.graph = graph
         self.order = order
@@ -459,27 +462,6 @@ class _CliqueSearch:
             color += 1
         return order
 
-    def _expand(self, rbits: int, rsize: int, and_all: int, miss1: bool, miss2: bool,
-                p: int, orbit=None, above: int = 0) -> None:
-        """Search the subtree of the clique R depth first, on an explicit stack.
-
-        The stack holds one ``_branch`` generator per clique on the current
-        path that has a candidate to branch on; each yields its children's
-        generators in branch order, so the depth of the clique costs no
-        Python recursion.
-        """
-        order = self._open(rsize, and_all, miss1, miss2, p)
-        if not order:
-            return
-        stack = [self._branch(order, rbits, rsize, and_all, miss1, miss2, p, orbit, above)]
-        push, pop = stack.append, stack.pop
-        while stack:
-            for child in stack[-1]:
-                push(child)
-                break
-            else:
-                pop()
-
     def _open(self, rsize: int, and_all: int, miss1: bool, miss2: bool, p: int) -> list:
         """Count the node of the clique R and colour its candidates p.
 
@@ -516,15 +498,18 @@ class _CliqueSearch:
 
     def _branch(self, order, rbits: int, rsize: int, and_all: int, miss1: bool, miss2: bool,
                 p: int, orbit, above: int):
-        """Branch on the candidates p of the clique R (bitset rbits, rsize members) in colour order.
+        """Branch on the candidates p of the clique R (bitset rbits, rsize members).
 
-        Each child is opened here, and yielded as a generator only when it
-        has a candidate to branch on.  orbit, when not None, is (atoms,
-        cuts, classes): R's atoms, the cuts of R's last vertex and the
-        parent's classes, and p is a union of R's orbit classes.  The node
-        refines its own classes from them before its first branch (a node
-        pruned at ``_open`` never pays), and after branching on v, v's
-        whole class leaves p (orbital branching).
+        order yields (v, colour) in branch order: a node's colour order
+        reversed, or at the empty clique every vertex with colour m.  Each
+        child is opened here, and yielded as a generator only when it has a
+        candidate to branch on.  orbit, when not None, is (atoms, cuts,
+        classes): R's atoms, the cuts of R's last vertex and the parent's
+        classes, and p is a union of R's orbit classes.  The node refines
+        its own classes from them before its first branch (a node pruned at
+        ``_open`` never pays), and after branching on v, v's whole class
+        leaves p (orbital branching).  The node stops once p is empty, so it
+        reads order no further than it needs.
 
         above holds the vertices that ancestors branched on before the
         branch that leads here and that are adjacent to every vertex added
@@ -543,14 +528,16 @@ class _CliqueSearch:
         adj, masks, nonadj = self.adj, self.masks, self.nonadj
         csize = rsize + 1
         done = 0  # the vertices this node has branched on
-        for v, color in reversed(order):
+        for v, color in order:
             if rsize + color <= self.best:
                 return
             bit = 1 << v
             if not p & bit:
                 continue  # in the class of a vertex already branched on
             pv = p & adj[v]
-            dom = carry = (above | done) & adj[v]
+            # no dominance at the empty clique: testing each root against every
+            # earlier one cut (8,8){(2,2)} ANY to 853 nodes from 1,048, ~40% slower
+            dom = carry = (above | done) & adj[v] if rsize else 0
             while dom and pv & nonadj[(dom & -dom).bit_length() - 1]:
                 dom &= dom - 1
             if not dom:  # no earlier branch a has pv inside adj[a]: branch on v
@@ -569,12 +556,14 @@ class _CliqueSearch:
                     child_orbit = None
                     if orbit is not None and (split := _split_atoms(atoms, masks[v])):
                         child_orbit = (*split, classes)
-                    yield self._branch(child_order, child, csize, child_and, cm1, cm2, pv,
-                                       child_orbit, carry)
+                    yield self._branch(reversed(child_order), child, csize, child_and, cm1,
+                                       cm2, pv, child_orbit, carry)
             if orbit is None:
                 p ^= bit
             else:  # v's whole class leaves p
                 p ^= next(c for c in classes if c & bit)
+            if not p:
+                return
 
     def _valid(self, and_all: int, miss1: bool, miss2: bool) -> bool:
         if self.constraint is Constraint.ANY:
@@ -584,42 +573,37 @@ class _CliqueSearch:
         return miss1 and miss2
 
     def run(self) -> tuple[bool, int]:
-        suffix = (1 << self.graph.size) - 1
-        unrooted = None
+        """Search from the empty clique depth first; whether it finished, and the nodes ticked.
+
+        The empty clique's node is ticked once (which checks the time set-up
+        took) and branches on every vertex, read lazily in the given order.
+        Their colour is m, the vertex count, so the bound stops them only
+        once the incumbent holds every vertex.  Under symmetry its atoms are
+        X1 and X2, so its classes are the profile classes.  The stack holds one ``_branch`` generator per clique on
+        the current path that has a candidate to branch on; each yields its
+        children's generators in branch order, so the depth of the clique
+        costs no Python recursion.
+        """
+        m = self.graph.size
+        everyone = (1 << m) - 1
+        orbit = None
         if self.symmetry:
-            # the orbits of S_n1 x S_n2 (atoms X1, X2) are the profile classes;
-            # each class roots once, at its earliest vertex in the order, so
-            # the order is read only until every class has its root
             parts = (self.x1m, self.x2m)
-            profile_classes = _orbit_classes([suffix], suffix, parts, self.inc)
-            unrooted = suffix
-        completed = True
+            orbit = (parts, parts, [everyone])
         try:
-            if self.budget.exceeded(0, self.start):
-                raise _BudgetExhausted  # set-up alone used up the time limit
-            for i, v in enumerate(self.order):
-                bit = 1 << v
-                suffix ^= bit
-                vmask = self.masks[v]
-                orbit = None
-                if unrooted is not None:
-                    if not unrooted & bit:
-                        continue
-                    unrooted ^= next(c for c in profile_classes if c & bit)
-                    # below the position-0 root p is every neighbour of v,
-                    # closed under v's stabiliser, so orbital branching is
-                    # sound there
-                    if i == 0 and (split := _split_atoms(parts, vmask)):
-                        orbit = (*split, profile_classes)
-                self._tick()
-                if self._valid(vmask, False, False):
-                    self.offer(1, bit)
-                self._expand(bit, 1, vmask, False, False, self.adj[v] & suffix, orbit)
-                if unrooted == 0:
+            self._tick()
+            stack = [self._branch(((v, m) for v in self.order), 0, 0,
+                                  self.graph.universe.full_mask, False, False, everyone, orbit, 0)]
+            push, pop = stack.append, stack.pop
+            while stack:
+                for child in stack[-1]:
+                    push(child)
                     break
+                else:
+                    pop()
         except _BudgetExhausted:
-            completed = False
-        return completed, self.nodes
+            return False, self.nodes
+        return True, self.nodes
 
 
 def _seed_indices(graph: CompatibilityGraph, seed: Family, constraint: Constraint) -> int:

@@ -157,6 +157,22 @@ class TestSearchCommand:
         data = json.loads(out)
         assert data["max_size"] == 1716 and data["proven_optimal"] is True
 
+    def test_symmetry_flag(self, capsys):
+        # orbital branching from the root: the maximum and witness of the
+        # plain search, in fewer nodes
+        args = ("search-max", "--n1", "4", "--n2", "4", "--profiles", "1,2;2,1",
+                "--constraint", "nontrivial", "--format", "json")
+        runs = []
+        for flag in ((), ("--symmetry",)):
+            code, out, err = run_cli(capsys, *args, *flag)
+            assert code == 0, err
+            runs.append(json.loads(out))
+        plain, sym = runs
+        for data in runs:
+            assert data["max_size"] == 14 and data["proven_optimal"] is True
+        assert sym["witness"] == plain["witness"]
+        assert (sym["nodes"], plain["nodes"]) == (31, 390)
+
     def test_deterministic_output_excluding_elapsed(self, capsys):
         args = ("search-max", "--n1", "4", "--n2", "4", "--profiles", "2,2",
                 "--format", "json")

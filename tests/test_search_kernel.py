@@ -25,6 +25,13 @@ extension is too small is pruned before its colouring.  The hunt cells
 (6,6){(3,2)} cells and the two-profile cell take fewer nodes (1,582 ->
 603 on (5,5){(2,2)}); no maximum, proven flag or witness moved, and the
 ANY pins, which the bound never reaches, did not change.
+
+The symmetry-off small cells, the two-profile cell, the wide ANY cell and
+the deep clique were re-pinned when the root became the empty clique's
+node (``_CliqueSearch.run``): each root is ticked once, not twice, a root
+drops the classes of the earlier roots and does orbital branching below
+it, and the empty clique's colour m stops the roots once the incumbent
+holds every vertex.  No maximum, proven flag, witness or hunt tree moved.
 """
 
 import hashlib
@@ -182,11 +189,11 @@ GRID_PINS = """
 # (constraint, symmetry) -> (nodes, max_size, witness digest) at (4,4),(2,2)
 SMALL_CELL = {
     (Constraint.ANY, True): (2, 18, "f976c1ff898c3e1c"),
-    (Constraint.ANY, False): (72, 18, "f976c1ff898c3e1c"),
+    (Constraint.ANY, False): (37, 18, "f976c1ff898c3e1c"),
     (Constraint.NONTRIVIAL, True): (19, 18, "f46b2146de8f4dcd"),
-    (Constraint.NONTRIVIAL, False): (89, 18, "f46b2146de8f4dcd"),
+    (Constraint.NONTRIVIAL, False): (54, 18, "f46b2146de8f4dcd"),
     (Constraint.TWO_SIDED, True): (19, 18, "f46b2146de8f4dcd"),
-    (Constraint.TWO_SIDED, False): (89, 18, "f46b2146de8f4dcd"),
+    (Constraint.TWO_SIDED, False): (54, 18, "f46b2146de8f4dcd"),
 }
 
 
@@ -258,24 +265,26 @@ class TestPinnedTree:
         assert (r.nodes, r.max_size, _digest(r)) == SMALL_CELL[key]
 
     def test_two_profile_symmetry(self):
-        # two root classes: orbital branching below the position-0 root, plain below the other
+        # two root classes, each with orbital branching below it
         r = max_intersecting(Universe(4, 4), [(1, 2), (2, 1)], Constraint.NONTRIVIAL,
                              symmetry=True)
         assert r.proven_optimal
-        assert (r.nodes, r.max_size, _digest(r)) == (39, 14, "6d4a818efbc0b86e")
+        assert (r.nodes, r.max_size, _digest(r)) == (31, 14, "6d4a818efbc0b86e")
         _assert_valid_witness(r, Constraint.NONTRIVIAL, [(1, 2), (2, 1)])
 
     def test_wide_any(self):
         r = max_intersecting(Universe(8, 8), [(2, 2)])
         assert r.proven_optimal
-        assert (r.nodes, r.max_size, _digest(r)) == (1831, 196, "b0f0d9bd51b031ce")
+        assert (r.nodes, r.max_size, _digest(r)) == (1048, 196, "b0f0d9bd51b031ce")
 
     def test_clique_deeper_than_the_recursion_limit(self):
         # the 1,716 7-sets of 13 points pairwise meet: the search path is as
         # deep as the clique, far past Python's default recursion limit; no
-        # two are disjoint, so the packing numbering is the canonical one
+        # two are disjoint, so the packing numbering is the canonical one;
+        # the empty clique and the path, then the root colour m = 1,716 stops
+        # the other roots
         r = max_intersecting(Universe(13, 0), [(7, 0)])
-        assert (r.max_size, r.proven_optimal, r.nodes) == (1716, True, 5147)
+        assert (r.max_size, r.proven_optimal, r.nodes) == (1716, True, 1717)
 
 
 def _naive_degeneracy_order(adj):
@@ -398,13 +407,23 @@ def _max_clique(adj, p, size=0, best=0):
 
 
 class _SiblingOnly(_CliqueSearch):
-    """The kernel before ancestor dominance, on its ANY, no-atoms path.
+    """The kernel before ancestor dominance, on its ANY, no-atoms path, as plain recursion.
 
     v is tested only against the branches made at its own node, and a child
-    starts with no dominating vertices.
+    starts with no dominating vertices.  Like ``run``, it ticks the empty
+    clique and branches on each vertex of the order with no bound.
     """
 
-    def _expand(self, rbits, rsize, and_all, miss1, miss2, p, atoms, above=0):
+    def run(self):
+        self._tick()
+        p = (1 << self.graph.size) - 1
+        for v in self.order:
+            self.offer(1, 1 << v)
+            self._expand(1 << v, 1, p & self.adj[v])
+            p ^= 1 << v
+        return True, self.nodes
+
+    def _expand(self, rbits, rsize, p):
         self._tick()
         adj, nonadj = self.adj, self.nonadj
         done = 0
@@ -421,12 +440,12 @@ class _SiblingOnly(_CliqueSearch):
                 child = rbits | bit
                 if rsize + 1 >= self.best:
                     self.offer(rsize + 1, child)
-                self._expand(child, rsize + 1, 0, False, False, pv, None)
+                self._expand(child, rsize + 1, pv)
             p ^= bit
 
 
 def _random_graphs(count):
-    """The seeded random graphs of every density of the first dominance test."""
+    """Seeded random graphs of every density, not only intersection graphs."""
     rng = random.Random(20261018)
     for _ in range(count):
         m, density = rng.randint(2, 24), rng.random()
@@ -438,36 +457,34 @@ def _random_graphs(count):
         yield adj
 
 
-def _search_from_empty(cls, adj):
-    g = CompatibilityGraph(Universe(1, 0), ((),), (0,) * len(adj), tuple(adj))
-    s = cls(g, [], [], Constraint.ANY, None, False, time.perf_counter())
-    s._expand(0, 0, 0, False, False, (1 << len(adj)) - 1, None)
+def _search_below_hub(cls, adj):
+    """Search adj plus a hub, vertex m, joined to every vertex, from the hub's one root.
+
+    The empty clique tests no dominance, but the hub's node branches over
+    the whole graph and does; the order holds only the hub, so the search
+    ends with its subtree.
+    """
+    m = len(adj)
+    rows = tuple(row | 1 << m for row in adj) + ((1 << m) - 1,)
+    g = CompatibilityGraph(Universe(1, 0), ((),), (0,) * (m + 1), rows)
+    s = cls(g, [], [m], Constraint.ANY, None, False, time.perf_counter())
+    assert s.run() == (True, s.nodes)
     return s
 
 
 class TestDominance:
     def test_branching_finds_every_maximum_clique(self):
-        # random graphs of every density, not only intersection graphs,
-        # searched from the empty clique so that one node branches over the
-        # whole graph: the dominance rule may drop v only when a single
-        # earlier branch covers all of v's candidates
-        rng = random.Random(20261018)
-        for _ in range(4000):
-            m, density = rng.randint(2, 24), rng.random()
-            adj = [0] * m
-            for i, j in itertools.combinations(range(m), 2):
-                if rng.random() < density:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-            everyone = (1 << m) - 1
-            g = CompatibilityGraph(Universe(1, 0), ((),), (0,) * m, tuple(adj))
-            s = _CliqueSearch(g, [], [], Constraint.ANY, None, False, time.perf_counter())
-            s._expand(0, 0, 0, False, False, everyone, None)
-            assert s.best == _max_clique(adj, everyone), adj
+        # the hub's node branches over the whole graph: the dominance rule
+        # may drop v only when a single earlier branch covers all of v's
+        # candidates
+        for adj in _random_graphs(4000):
+            m = len(adj)
+            s = _search_below_hub(_CliqueSearch, adj)
+            assert s.best == _max_clique(adj, (1 << m) - 1) + 1, adj
             witness = list(iter_bits(s.best_bits))
-            assert len(witness) == s.best, adj
+            assert len(witness) == s.best and witness[-1] == m, adj
             for i, v in enumerate(witness):
-                assert all(adj[v] >> w & 1 for w in witness[i + 1:])
+                assert all(adj[v] >> w & 1 for w in witness[i + 1:-1])
 
     def test_ties_keep_the_lexicographically_smaller_set(self):
         # offer compares cliques as bitsets: the lowest differing vertex decides
@@ -486,8 +503,8 @@ class TestDominance:
         # neither beat nor tie the incumbent: the maximum and the
         # lexicographically first witness are those of sibling-only dominance
         for adj in _random_graphs(4000):
-            s = _search_from_empty(_CliqueSearch, adj)
-            ref = _search_from_empty(_SiblingOnly, adj)
+            s = _search_below_hub(_CliqueSearch, adj)
+            ref = _search_below_hub(_SiblingOnly, adj)
             assert (s.best, s.best_bits) == (ref.best, ref.best_bits), adj
             assert s.nodes <= ref.nodes, adj
 
@@ -576,6 +593,97 @@ class TestStarNodeBound:
         assert nodes < ref_nodes
 
 
+def _drive(stack):
+    """Run a stack of ``_branch`` generators depth first, as ``run`` does."""
+    while stack:
+        for child in stack[-1]:
+            stack.append(child)
+            break
+        else:
+            stack.pop()
+
+
+class _RootLoop(_CliqueSearch):
+    """The search before the root was the empty clique's node: a loop over the roots.
+
+    Each root is ticked, offered, then opened (a second tick).  Its
+    candidates are its neighbours after it in the order.  Under symmetry
+    each profile class roots once, at its first vertex, and only the
+    position-0 root's subtree does orbital branching.
+    """
+
+    def run(self):
+        suffix = (1 << self.graph.size) - 1
+        unrooted = None
+        if self.symmetry:
+            parts = (self.x1m, self.x2m)
+            profile_classes = _orbit_classes([suffix], suffix, parts, self.inc)
+            unrooted = suffix
+        for i, v in enumerate(self.order):
+            bit = 1 << v
+            suffix ^= bit
+            vmask = self.masks[v]
+            orbit = None
+            if unrooted is not None:
+                if not unrooted & bit:
+                    continue
+                unrooted ^= next(c for c in profile_classes if c & bit)
+                if i == 0 and (split := _split_atoms(parts, vmask)):
+                    orbit = (*split, profile_classes)
+            self._tick()
+            if self._valid(vmask, False, False):
+                self.offer(1, bit)
+            p = self.adj[v] & suffix
+            if order := self._open(1, vmask, False, False, p):
+                _drive([self._branch(reversed(order), bit, 1, vmask, False, False, p, orbit, 0)])
+            if unrooted == 0:
+                break
+        return True, self.nodes
+
+
+class TestEmptyCliqueRoot:
+    @pytest.mark.parametrize("constraint", list(Constraint))
+    @pytest.mark.parametrize("symmetry", [False, True])
+    def test_root_node_keeps_maximum_flag_and_witness(self, monkeypatch, constraint, symmetry):
+        # the roots as branches of the empty clique (one tick each, earlier
+        # classes dropped, orbital branching below every root) give the
+        # answer of the separate root loop on every small list, in fewer nodes
+        got, nodes = [], 0
+        for u, ps in _small_profile_lists():
+            r = max_intersecting(u, ps, constraint, symmetry=symmetry)
+            got.append((r.max_size, r.proven_optimal, r.witness.sets))
+            nodes += r.nodes
+        monkeypatch.setattr(search, "_CliqueSearch", _RootLoop)
+        want, ref_nodes = [], 0
+        for u, ps in _small_profile_lists():
+            r = max_intersecting(u, ps, constraint, symmetry=symmetry)
+            want.append((r.max_size, r.proven_optimal, r.witness.sets))
+            ref_nodes += r.nodes
+        assert got == want
+        assert nodes < ref_nodes
+
+    @pytest.mark.parametrize("n1,n2,profiles,symmetry,reads", [
+        (5, 5, [(2, 2)], True, (1, 100)),  # one profile class: its first vertex roots it
+        (4, 4, [(1, 2), (2, 1)], True, (13, 48)),  # until the second class's first vertex
+        (4, 4, [(2, 2)], False, (36, 36)),  # every vertex roots
+    ])
+    def test_root_order_is_read_lazily(self, monkeypatch, n1, n2, profiles, symmetry, reads):
+        # (vertices read from the degeneracy order, vertices in the graph)
+        count = 0
+
+        def counted(adj):
+            nonlocal count
+            for v in _degeneracy_order(adj):
+                count += 1
+                yield v
+
+        monkeypatch.setattr(search, "_degeneracy_order", counted)
+        u = Universe(n1, n2)
+        r = max_intersecting(u, profiles, Constraint.NONTRIVIAL, symmetry=symmetry)
+        assert r.proven_optimal
+        assert (count, build_graph(u, profiles).size) == reads
+
+
 def _swap_bits(mask, a, b):
     if ((mask >> a) ^ (mask >> b)) & 1:
         return mask ^ ((1 << a) | (1 << b))
@@ -655,7 +763,7 @@ class TestOrbitClasses:
     @given(instances(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_refined_classes_match_scratch_along_branch_paths(self, inst, data):
-        # below the position-0 root, each node refines its parent's classes
+        # below the first root, each node refines its parent's classes
         # over the cuts of its last vertex; a node's candidates are its
         # parent's, less the classes of earlier branches, meeting adj[v]
         u, profiles = inst
