@@ -22,6 +22,7 @@ Everything here is exact rational arithmetic; no tolerances anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -135,8 +136,8 @@ def double_count_check(f: Family) -> DoubleCountResult:
     """
     u = f.universe
     require_countable(u)
-    for m in f.sets:
-        k, l = profile_of(u, m)
+    profiles = [profile_of(u, m) for m in f.sets]
+    for k, l in profiles:
         if (u.n1 > 0 and k in (0, u.n1)) or (u.n2 > 0 and l in (0, u.n2)):
             raise ValueError(
                 f"profile ({k},{l}) has an empty or full part; the identity needs interior profiles"
@@ -144,8 +145,9 @@ def double_count_check(f: Family) -> DoubleCountResult:
 
     # every weight shares the denominator n1! * n2!: sum integer numerators
     denom = factorial(u.n1) * factorial(u.n2)
-    nums = [_weight_numerator(u, profile_of(u, m)) for m in f.sets]
-    by_member = Fraction(sum(rectangle_pair_count(u, m) * w for m, w in zip(f.sets, nums)), denom)
+    nums = [_weight_numerator(u, p) for p in profiles]
+    by_member = Fraction(sum(_axis_pair_count(u.n1, k) * _axis_pair_count(u.n2, l) * w
+                             for (k, l), w in zip(profiles, nums)), denom)
 
     classes: dict[int, int] = {}
     for i, w in enumerate(nums):
@@ -165,17 +167,19 @@ def double_count_check(f: Family) -> DoubleCountResult:
     return DoubleCountResult(len(f), by_member, Fraction(sum(pair_nums), denom), per_pair)
 
 
-def weighted_sums(sizes: dict[tuple[int, int], int], lambdas: dict[tuple[int, int], Fraction],
-                  n1: int, n2: int) -> tuple[Fraction, Fraction]:
+def weighted_sums(sizes: Mapping[tuple[int, int], int],
+                  lambdas: dict[tuple[int, int], Fraction | int],
+                  n1: int, n2: int) -> tuple[Fraction | int, Fraction | int]:
     """Both sides of sum_i lambda_i |R_i| <= max{n1 sum lambda_i l_i, n2 sum lambda_i k_i}.
 
     ``sizes`` is {shape (k_i, l_i): |R_i|}.  The inequality holds for proj-intersecting
     families with every side at most b, 9b^2 < n1 and 9b^2 < n2, and positive weights;
-    nothing here checks them.  Check c3 meets all four by construction.
+    nothing here checks them.  Check c3 meets all four by construction, with integer
+    weights: when the common denominator is 1 the sides are plain ints.
     """
     denom = lcm(*(lambdas[s].denominator for s in sizes))  # integer sums, one Fraction per side
     num = {s: lambdas[s].numerator * (denom // lambdas[s].denominator) for s in sizes}
     lhs = sum(num[s] * size for s, size in sizes.items())
     rhs = max(n1 * sum(w * l for (k, l), w in num.items()),
               n2 * sum(w * k for (k, l), w in num.items()))
-    return Fraction(lhs, denom), Fraction(rhs, denom)
+    return (lhs, rhs) if denom == 1 else (Fraction(lhs, denom), Fraction(rhs, denom))

@@ -16,7 +16,11 @@ once the candidates are a clique that fits the target, the forced rest is
 taken at once and only its picks' getrandbits calls are replayed.  A family
 is judged on its member bitset: its blocking pairs are the pairs of the
 space's ``blocking_rows`` inside it, and checks 9 and c3 read its class
-sizes alone (c3's hypotheses hold by construction).
+sizes alone (c3's hypotheses hold by construction; its weights a/q, scaled
+by the product of the q's, are integers).  Each sampled check reads one
+endless draw stream, cut by ``_drive``, and as draws repeat families it
+remembers up to ``MEMO_CAP`` families' facts (not verdicts: c3 draws fresh
+weights per family); exhaustive checks list each family once.
 
 Exhaustive checks 1, 2 and 4 count their instances and list only those that
 can fail: the k- and (k+1)-cliques of check 1's distance graph, the
@@ -56,9 +60,9 @@ import random
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate, combinations, cycle
-from math import comb, inf
+from itertools import accumulate, combinations, cycle, islice, repeat
+from math import comb, inf, prod
+from types import MappingProxyType
 
 from .cyclic import (
     I_BASE,
@@ -76,6 +80,7 @@ from .search import meet_rows
 
 EXHAUSTIVE_CAP = 2_000_000
 SAMPLE_FACTOR = 200
+MEMO_CAP = 1 << 16  # masks remembered per fact by a sampled check's _BlockingRows
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
@@ -129,30 +134,30 @@ def _rect_json(rects) -> list[list[int]]:
     return sorted([r.i.start, r.i.length, r.j.start, r.j.length] for r in rects)
 
 
-def _drive(mode, rng, trials, everything, draw, test):
-    """Run ``test`` over the instances and return (instances, counterexamples, rejections).
+def _drive(mode, trials, instances, test):
+    """Run ``test`` over ``instances`` and return (instances, counterexamples, rejections).
 
     ``test(instance)`` returns None when the instance fails the hypothesis,
     True when the conclusion holds, and otherwise a counterexample record.
-    Exhaustive mode tests every instance of ``everything``; sampled mode
-    tests ``draw(rng)`` until ``trials`` instances satisfy the hypothesis or
+    Exhaustive mode tests every listed instance; sampled mode reads the
+    endless draw stream until ``trials`` instances satisfy the hypothesis or
     ``trials * SAMPLE_FACTOR`` draws are spent.
     """
     exhaustive = mode == EXHAUSTIVE
-    source = everything if exhaustive else (draw(rng) for _ in range(trials * SAMPLE_FACTOR))
+    instances = instances if exhaustive else islice(instances, trials * SAMPLE_FACTOR)
     target = inf if exhaustive else trials
-    instances, bad, rejections = 0, [], 0
-    for instance in source:
+    tested, bad, rejections = 0, [], 0
+    for instance in instances:
         out = test(instance)
         if out is None:
             rejections += 1
             continue
-        instances += 1
+        tested += 1
         if out is not True:
             bad.append(out)
-        if instances == target:
+        if tested == target:
             break
-    return instances, bad, 0 if exhaustive else rejections
+    return tested, bad, 0 if exhaustive else rejections
 
 
 def _proj_rows(n1: int, n2: int, rects: list[Rectangle]) -> list[int]:
@@ -213,11 +218,11 @@ def _clique_count(rows: list[int], closed: list[int], min_size: int) -> int:
     return count
 
 
-def _sample_family(rng: random.Random, rows: list[int], closed: list[int],
-                   size_range: tuple[int, int]) -> int:
-    """The bitset of a random proj-intersecting family grown toward a random target size.
+def _sample_families(rng: random.Random, rows: list[int], closed: list[int],
+                     size_range: tuple[int, int]):
+    """Endless bitsets of random proj-intersecting families, each grown toward a random size.
 
-    The target is ``rng.randint(*size_range)``'s draw.  A pick makes
+    Each target is ``rng.randint(*size_range)``'s draw.  A pick makes
     ``rng.randrange(n)``'s getrandbits calls for the n candidates left and
     takes the r-th lowest: r itself while they are the whole space, then the
     length of what ``bin(cand)`` keeps after its top n - r set bits.  Once
@@ -225,33 +230,35 @@ def _sample_family(rng: random.Random, rows: list[int], closed: list[int],
     fits the target, the rest is forced: all of them, after replaying the
     getrandbits calls of their picks.
     """
-    lo, hi = size_range
-    getrandbits = rng.getrandbits
-    target = getrandbits(k := (hi - lo + 1).bit_length())
-    while target > hi - lo:
-        target = getrandbits(k)
-    target += lo
-    n = len(rows)
-    mask, cand, size = 0, (1 << n) - 1, 0
-    while cand and size < target:
-        if size + n <= target:
-            rest = cand
-            while rest and not cand & ~closed[(rest & -rest).bit_length() - 1]:
-                rest &= rest - 1
-            if not rest:  # a clique: the remaining picks draw randrange(n), ..., randrange(1)
-                for m in range(n, 0, -1):
-                    while getrandbits(m.bit_length()) >= m:
-                        pass
-                return mask | cand
-        r = getrandbits(k := n.bit_length())
-        while r >= n:
-            r = getrandbits(k)
-        v = len(bin(cand).split("1", n - r)[-1]) if size else r
-        mask |= 1 << v
-        cand &= rows[v]
-        size += 1
-        n = cand.bit_count()
-    return mask
+    lo, span = size_range[0], size_range[1] - size_range[0]
+    getrandbits, span_bits = rng.getrandbits, (span + 1).bit_length()
+    space, everyone = len(rows), (1 << len(rows)) - 1
+    while True:
+        target = getrandbits(span_bits)
+        while target > span:
+            target = getrandbits(span_bits)
+        target += lo
+        mask, cand, size, n = 0, everyone, 0, space
+        while cand and size < target:
+            if size + n <= target:
+                rest = cand
+                while rest and not cand & ~closed[(rest & -rest).bit_length() - 1]:
+                    rest &= rest - 1
+                if not rest:  # a clique: the remaining picks draw randrange(n), ..., randrange(1)
+                    for m in range(n, 0, -1):
+                        while getrandbits(m.bit_length()) >= m:
+                            pass
+                    mask |= cand
+                    break
+            r = getrandbits(k := n.bit_length())
+            while r >= n:
+                r = getrandbits(k)
+            v = len(bin(cand).split("1", n - r)[-1]) if size else r
+            mask |= 1 << v
+            cand &= rows[v]
+            size += 1
+            n = cand.bit_count()
+        yield mask
 
 
 def _shape_space(n1: int, n2: int, shapes) -> list[Rectangle]:
@@ -266,42 +273,58 @@ class _BlockingRows:
 
     ``rows[kind][v]`` is the bitset of rectangles forming a ``kind`` pair with
     rectangle v, from ``blocking_rows``; ``j_arcs[v]`` is the bitset of v's
-    J-points, which tells distinct J-intervals apart.
+    J-points, which tells distinct J-intervals apart.  Each per-mask fact is
+    remembered for up to ``memo_cap`` masks (0 in exhaustive mode), in one
+    dict per fact, and shared between callers, so it is immutable.
     """
 
-    def __init__(self, rects: list[Rectangle], b: int):
+    def __init__(self, rects: list[Rectangle], b: int, memo_cap: int):
         self.rows = dict(zip((J_BASE, I_BASE), blocking_rows(rects, b)))
         self.j_arcs = [_arc_mask(r.j) for r in rects]
         self.shape_masks: dict[tuple[int, int], int] = {}
         for v, r in enumerate(rects):
             self.shape_masks[r.shape] = self.shape_masks.get(r.shape, 0) | 1 << v
+        self.memo_cap = memo_cap
+        self.known_kinds, self.known_j_bases, self.known_class_sizes = {}, {}, {}  # mask -> fact
 
-    def kinds(self, mask: int) -> set[str]:
+    def _remember(self, known: dict, mask: int, fact):
+        if len(known) < self.memo_cap:
+            known[mask] = fact
+        return fact
+
+    def kinds(self, mask: int) -> frozenset[str]:
         """The blocking-pair kinds with both ends inside ``mask``."""
-        found = set()
-        for kind, row in self.rows.items():
-            rest = mask
-            while rest and not row[(rest & -rest).bit_length() - 1] & mask:
-                rest &= rest - 1
-            if rest:
-                found.add(kind)
+        if (found := self.known_kinds.get(mask)) is None:
+            found = set()
+            for kind, row in self.rows.items():
+                rest = mask
+                while rest and not row[(rest & -rest).bit_length() - 1] & mask:
+                    rest &= rest - 1
+                if rest:
+                    found.add(kind)
+            found = self._remember(self.known_kinds, mask, frozenset(found))
         return found
 
     def j_bases(self, mask: int) -> int:
         """How many distinct shared-J bases the blocking pairs inside ``mask`` have."""
-        row, j_arcs = self.rows[J_BASE], self.j_arcs
-        bases, rest = set(), mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            if row[v] & mask:
-                bases.add(j_arcs[v])
-            rest &= rest - 1
-        return len(bases)
+        if (count := self.known_j_bases.get(mask)) is None:
+            row, j_arcs = self.rows[J_BASE], self.j_arcs
+            bases, rest = set(), mask
+            while rest:
+                v = (rest & -rest).bit_length() - 1
+                if row[v] & mask:
+                    bases.add(j_arcs[v])
+                rest &= rest - 1
+            count = self._remember(self.known_j_bases, mask, len(bases))
+        return count
 
-    def class_sizes(self, mask: int) -> dict[tuple[int, int], int]:
-        """Shape -> member count for every shape class present in ``mask``."""
-        sizes = {s: (mask & m).bit_count() for s, m in self.shape_masks.items()}
-        return {s: c for s, c in sizes.items() if c}
+    def class_sizes(self, mask: int) -> MappingProxyType:
+        """Shape -> member count for every shape class present in ``mask``, read-only."""
+        if (sizes := self.known_class_sizes.get(mask)) is None:
+            counts = {s: (mask & m).bit_count() for s, m in self.shape_masks.items()}
+            sizes = self._remember(self.known_class_sizes, mask,
+                                   MappingProxyType({s: c for s, c in counts.items() if c}))
+        return sizes
 
 
 def _family_check(params, mode, rng, trials, shapes, test, min_size: int = 2):
@@ -318,9 +341,10 @@ def _family_check(params, mode, rng, trials, shapes, test, min_size: int = 2):
         return 0, [], 0
     rows = _proj_rows(n1, n2, rects)
     closed = [row | 1 << v for v, row in enumerate(rows)]
-    if mode == EXHAUSTIVE:
+    exhaustive = mode == EXHAUSTIVE
+    if exhaustive:
         _require_exhaustive(_clique_count(rows, closed, min_size), "families")
-    blocking = _BlockingRows(rects, b)
+    blocking = _BlockingRows(rects, b, 0 if exhaustive else MEMO_CAP)
 
     def judge(mask):
         if mask.bit_count() < min_size:
@@ -328,8 +352,9 @@ def _family_check(params, mode, rng, trials, shapes, test, min_size: int = 2):
         holds = test(mask, blocking)
         return {"family": _rect_json(rects[v] for v in iter_bits(mask))} if holds is False else holds
 
-    return _drive(mode, rng, trials, map(mask_of, _cliques(rows, min_size)),
-                  lambda rng: _sample_family(rng, rows, closed, (min_size, len(rects))), judge)
+    families = (map(mask_of, _cliques(rows, min_size)) if exhaustive
+                else _sample_families(rng, rows, closed, (min_size, len(rects))))
+    return _drive(mode, trials, families, judge)
 
 
 # ---------------------------------------------------------------- check 1
@@ -359,10 +384,9 @@ def _check_distance_graph_cliques(params, mode, rng, trials):
         # every (k+1)- and k-subset is an instance; only the cliques among them can fail
         bad += [out for out in map(judge, _cliques(near, k, k + 1)) if out is not True]
         return n + subsets, bad, 0
-    sizes = cycle((k + 1, k))  # two draws per trial: one (k+1)-subset, one k-subset
-    return _drive(mode, rng, 2 * trials, (),
-                  lambda rng: tuple(sorted(rng.sample(range(n), next(sizes)))),
-                  lambda vs: judge(vs) if is_clique(vs) else True)
+    # two draws per trial: one (k+1)-subset, one k-subset
+    draws = (tuple(sorted(rng.sample(range(n), size))) for size in cycle((k + 1, k)))
+    return _drive(mode, 2 * trials, draws, lambda vs: judge(vs) if is_clique(vs) else True)
 
 
 # ---------------------------------------------------------------- check 2
@@ -391,7 +415,7 @@ def _check_interval_dispersion(params, mode, rng, trials):
         return True if far else record(sub)
 
     # sampling positions draws the same random numbers as sampling the intervals
-    return _drive(mode, rng, trials, (), lambda rng: rng.sample(range(len(intervals)), need), test)
+    return _drive(mode, trials, map(rng.sample, repeat(range(len(intervals))), repeat(need)), test)
 
 
 # ---------------------------------------------------------------- check 3
@@ -462,7 +486,7 @@ def _check_third_rectangle_overlap(params, mode, rng, trials):
             return None
         return record(j0, i1, i2, uu, vv)
 
-    return _drive(mode, rng, trials, (), draw, test)
+    return _drive(mode, trials, map(draw, repeat(rng)), test)
 
 
 # ------------------------------------------------------- checks 5, 6, c1, c2
@@ -583,7 +607,10 @@ def _check_weighted_sum_bound(params, mode, rng, trials):
     n1, n2, b, shapes = _multi_shape(params, lambda b: 9 * b * b, "9b^2")
 
     def test(mask, blocking):
-        lambdas = {s: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for s in shapes}
+        # weights a_s / q_s scaled by prod q: the same verdict on integers
+        weights = [(rng.randint(1, 9), rng.randint(1, 9)) for _ in shapes]
+        scale = prod(q for _, q in weights)
+        lambdas = {s: a * (scale // q) for s, (a, q) in zip(shapes, weights)}
         lhs, rhs = weighted_sums(blocking.class_sizes(mask), lambdas, n1, n2)
         return lhs <= rhs
 

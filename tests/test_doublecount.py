@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -292,6 +292,23 @@ class TestWeightedSum:
             assert weighted_sums(sizes, lambdas, n, n) == want
             all_shapes += len(sizes) == len(shapes)
         assert all_shapes >= 40  # the multi-shape case is exercised, not only its classes
+
+    def test_integer_weights_give_the_fraction_verdict(self):
+        # check c3 passes the weights a_s / q_s scaled by prod q_s, as plain ints
+        rng, shapes, verdicts = random.Random(5), [(1, 1), (2, 1), (2, 2)], Counter()
+        for _ in range(500):
+            sizes = {s: rng.randint(0, 40) for s in shapes if rng.random() < 0.8}
+            pairs = [(rng.randint(1, 9), rng.randint(1, 9)) for _ in shapes]
+            scale = prod(q for _, q in pairs)
+            fractions = {s: Fraction(a, q) for s, (a, q) in zip(shapes, pairs)}
+            integers = {s: a * (scale // q) for s, (a, q) in zip(shapes, pairs)}
+            lhs, rhs = weighted_sums(sizes, integers, 10, 10)
+            assert type(lhs) is int and type(rhs) is int
+            f_lhs, f_rhs = weighted_sums(sizes, fractions, 10, 10)
+            assert (lhs, rhs) == (f_lhs * scale, f_rhs * scale)
+            assert (lhs <= rhs) == (f_lhs <= f_rhs)
+            verdicts[lhs <= rhs] += 1
+        assert verdicts[True] and verdicts[False]
 
     def test_full_row_of_unit_rectangles(self):
         rects = [Rectangle(Interval(10, s, 1), Interval(10, 0, 1)) for s in range(10)]

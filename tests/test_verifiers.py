@@ -5,7 +5,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,7 +78,7 @@ class TestBlockingPairExistence:
         def no_draw(*args):
             raise AssertionError("drew a family from a space smaller than the minimum size")
 
-        monkeypatch.setattr(verifiers, "_sample_family", no_draw)
+        monkeypatch.setattr(verifiers, "_sample_families", no_draw)
         report = verify_check("3", {"n1": 8, "n2": 8, "k": 1, "l": 1, "b": 3},
                               mode=mode, seed=1, trials=50)
         assert report.passed
@@ -175,12 +175,15 @@ class TestVerifierPlumbing:
             verify_check("2", {"n": 40, "k": 8, "b": 8})
 
     def test_sampled_family_check_leaves_no_cycles(self):
-        # a reference cycle would hold the space's rows until the next collection
+        # a reference cycle would hold the space's rows, the draw stream or
+        # the remembered facts until the next collection
         gc.collect()
         gc.disable()
         try:
-            verify_check("5", _WIDE, mode=SAMPLED, seed=1, trials=20)
-            assert gc.collect() == 0
+            for check_id, params in [("3", _LINES), ("5", _WIDE), ("8", _TWO_SHAPES),
+                                     ("9", _UNIT10), ("c3", _UNIT10)]:
+                verify_check(check_id, params, mode=SAMPLED, seed=1, trials=20)
+                assert gc.collect() == 0, check_id
         finally:
             gc.enable()
 
@@ -421,7 +424,7 @@ class TestBlockingRows:
     @settings(max_examples=200, deadline=None)
     def test_rows_match_blocking_scan(self, case):
         rects, b, picked = case
-        blocking = verifiers._BlockingRows(rects, b)
+        blocking = verifiers._BlockingRows(rects, b, 0)
         mask = sum(1 << v for v in picked)
         members = [rects[v] for v in picked]
         # whole union (check 7 and the single-shape checks)
@@ -788,13 +791,13 @@ class TestSampleFamily:
             rows = _disjoint_cliques(graphs, m)
             cases.append((("cliques", m), rows, (min(m, graphs.randrange(0, 4)), m), 10))
         for label, rows, size_range, draws in cases:
+            stream = verifiers._sample_families(rng, rows, _closed(rows), size_range)
             for _ in range(draws):
-                assert (verifiers._sample_family(rng, rows, _closed(rows), size_range)
-                        == _sample_family_by_randrange(ref, rows, size_range)), label
+                assert next(stream) == _sample_family_by_randrange(ref, rows, size_range), label
             assert rng.getstate() == ref.getstate(), label
         full = (1 << 200) - 1  # a complete graph keeps every pick
         rows = [full & ~(1 << v) for v in range(200)]
-        assert verifiers._sample_family(rng, rows, _closed(rows), (200, 200)) == full
+        assert next(verifiers._sample_families(rng, rows, _closed(rows), (200, 200))) == full
 
     def test_forced_rest_reads_no_rows(self):
         class CountingRows(list):
@@ -806,11 +809,13 @@ class TestSampleFamily:
 
         full = (1 << 50) - 1
         complete = CountingRows(full & ~(1 << v) for v in range(50))
-        family = verifiers._sample_family(random.Random(1), complete, _closed(complete), (50, 50))
+        family = next(verifiers._sample_families(random.Random(1), complete, _closed(complete),
+                                                 (50, 50)))
         assert family == full
         assert complete.reads == 0  # the whole space is a clique that fits: no pick at all
         cliques = CountingRows(_disjoint_cliques(random.Random(2), 50))
-        family = verifiers._sample_family(random.Random(3), cliques, _closed(cliques), (50, 50))
+        family = next(verifiers._sample_families(random.Random(3), cliques, _closed(cliques),
+                                                 (50, 50)))
         assert cliques.reads == 1  # one pick, then the rest of its clique
         v = family.bit_length() - 1
         assert family == cliques[v] | 1 << v
@@ -820,10 +825,86 @@ class TestSampleFamily:
         law = _walk_law(rows, (1, 5))
         rng, draws = random.Random(11), 20_000
         closed = _closed(rows)
-        seen = Counter(verifiers._sample_family(rng, rows, closed, (1, 5)) for _ in range(draws))
+        seen = Counter(islice(verifiers._sample_families(rng, rows, closed, (1, 5)), draws))
         assert set(seen) <= set(law)
         for mask, p in law.items():  # within five standard deviations of the expected count
             assert abs(seen[mask] - draws * p) <= 5 * (draws * p * (1 - p)) ** 0.5 + 1, mask
+
+
+def _record_blocking_rows(monkeypatch):
+    """The ``_BlockingRows`` each family check builds, in call order."""
+    made = []
+
+    class Recorded(verifiers._BlockingRows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(verifiers, "_BlockingRows", Recorded)
+    return made
+
+
+def _memo_sizes(blocking):
+    return [len(blocking.known_kinds), len(blocking.known_j_bases), len(blocking.known_class_sizes)]
+
+
+class TestBlockingRowsMemo:
+    @staticmethod
+    def _spaces():
+        """The distinct shape spaces of ``_SAMPLED_SPACES``, each with its checks' b."""
+        for n1, n2, shapes in dict.fromkeys((n1, n2, tuple(s)) for n1, n2, s, _ in _SAMPLED_SPACES):
+            yield verifiers._shape_space(n1, n2, shapes), max(max(s) for s in shapes)
+
+    @staticmethod
+    def _facts(blocking, mask):
+        per_class = [blocking.kinds(mask & m) for m in blocking.shape_masks.values()]
+        return (blocking.kinds(mask), blocking.j_bases(mask), dict(blocking.class_sizes(mask)),
+                per_class)
+
+    def test_remembered_facts_match_fresh_ones(self):
+        rng = random.Random(31)
+        for rects, b in self._spaces():
+            memo = verifiers._BlockingRows(rects, b, verifiers.MEMO_CAP)
+            m = len(rects)
+            pool = [rng.getrandbits(m) & rng.getrandbits(m) & rng.getrandbits(m) for _ in range(40)]
+            pool += [0, (1 << m) - 1]
+            for mask in (rng.choice(pool) for _ in range(400)):  # most queries repeat a mask
+                fresh = verifiers._BlockingRows(rects, b, 0)
+                assert self._facts(memo, mask) == self._facts(fresh, mask)
+                assert _memo_sizes(fresh) == [0, 0, 0]
+            # one entry per distinct mask queried, not one per query
+            assert 0 < len(memo.known_kinds) <= len(pool) * (1 + len(memo.shape_masks))
+            # shared facts cannot be changed by a caller
+            assert all(type(kinds) is frozenset for kinds in memo.known_kinds.values())
+            with pytest.raises(TypeError):
+                memo.class_sizes(pool[0])[(1, 1)] = 0
+
+    def test_memo_holds_at_most_the_cap(self):
+        rects, b = next(self._spaces())
+        capped = verifiers._BlockingRows(rects, b, 5)
+        rng = random.Random(32)
+        for _ in range(50):
+            mask = rng.getrandbits(len(rects)) & rng.getrandbits(len(rects))
+            fresh = verifiers._BlockingRows(rects, b, 0)
+            assert self._facts(capped, mask) == self._facts(fresh, mask)
+        assert _memo_sizes(capped) == [5, 5, 5]
+
+    @pytest.mark.parametrize("check_id", ["3", "5", "8", "9", "c3"])
+    def test_sampled_check_remembers_up_to_the_cap(self, monkeypatch, check_id):
+        params, trials, wants = BENCH_PINS[check_id]
+        monkeypatch.setattr(verifiers, "MEMO_CAP", 7)
+        made = _record_blocking_rows(monkeypatch)
+        report = verify_check(check_id, params, mode=SAMPLED, seed=1, trials=trials)
+        assert _digest(report) == wants[0]  # the cap changes no report
+        assert max(_memo_sizes(made[0])) == 7
+
+    @pytest.mark.parametrize("check_id", ["3", "5", "6", "7", "8", "9", "c1", "c2", "c3"])
+    def test_exhaustive_family_check_remembers_nothing(self, monkeypatch, check_id):
+        # exhaustive mode lists each family once: a memo would only hold memory
+        made = _record_blocking_rows(monkeypatch)
+        params, want, _, _ = PINS[check_id]
+        assert _digest(verify_check(check_id, params)) == want
+        assert [_memo_sizes(blocking) for blocking in made] == [[0, 0, 0]]
 
 
 def _cliques_by_combinations(rows, min_size, max_size):
